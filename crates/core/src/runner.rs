@@ -35,11 +35,11 @@
 
 use crate::plan::Improvements;
 use crate::scatternet_scenario::{ScatternetScenario, ScatternetScenarioParams, Topology};
-use crate::scenario::{BeSourceMix, PaperScenario, PaperScenarioParams, PollerKind};
+use crate::scenario::{BeSourceMix, GsFlowPlan, PaperScenario, PaperScenarioParams, PollerKind};
 use crate::sink::{CellSink, CollectSink};
 use btgs_des::{SimDuration, SimTime};
 use btgs_metrics::{fmt_f64, DelayStats, Table};
-use btgs_piconet::{ObsConfig, RunReport, ScatternetReport, TelemetryReport};
+use btgs_piconet::{FlowReport, ObsConfig, RunReport, ScatternetReport, TelemetryReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -581,39 +581,35 @@ impl CellResult {
         }
     }
 
-    /// The worst packet delay over all of this cell's GS flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a GS flow saw no traffic (a broken run, not an input
-    /// condition).
-    pub fn gs_max_delay(&self) -> SimDuration {
+    /// The reference schedule's GS plans whose flow this cell's report
+    /// carries, each with its flow report. A scatternet cell's piconet 0
+    /// need not carry all of the paper's flows; their plans are skipped.
+    fn carried_gs_plans(&self) -> impl Iterator<Item = (&GsFlowPlan, &FlowReport)> {
         self.scenario
             .gs_plans
             .iter()
-            .map(|p| {
-                self.report
-                    .flow(p.request.id)
-                    .delay
-                    .max()
-                    .expect("GS flows see traffic")
-            })
+            .filter_map(|p| Some((p, self.report.try_flow(p.request.id)?)))
+    }
+
+    /// The worst packet delay over all of this cell's GS flows (the
+    /// reference schedule's plans the report carries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a GS flow saw no traffic, or the report carries none of
+    /// the plans' flows (a broken run, not an input condition).
+    pub fn gs_max_delay(&self) -> SimDuration {
+        self.carried_gs_plans()
+            .map(|(_, r)| r.delay.max().expect("GS flows see traffic"))
             .max()
             .expect("at least one GS flow")
     }
 
     /// Packets of this cell's GS flows that exceeded their achievable
-    /// bound.
+    /// bound (over the reference schedule's plans the report carries).
     pub fn gs_violations(&self) -> usize {
-        self.scenario
-            .gs_plans
-            .iter()
-            .map(|p| {
-                self.report
-                    .flow(p.request.id)
-                    .delay
-                    .violations_of(p.achievable_bound)
-            })
+        self.carried_gs_plans()
+            .map(|(p, r)| r.delay.violations_of(p.achievable_bound))
             .sum()
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON reader for the grid wire format.
 //!
 //! The workspace builds fully offline, so `serde_json` is unavailable;
-//! this module provides the small subset the wire format needs. Two
+//! this module provides the small subset the wire format needs. Three
 //! properties matter more than generality:
 //!
 //! * **Integer exactness** — timestamps, byte counts and seeds are `u64`
@@ -12,6 +12,12 @@
 //! * **Round-tripping floats** — the writers format `f64`s with `{:?}`
 //!   (Rust's shortest-round-trip representation), so
 //!   `parse(write(x)) == x` bit-for-bit for every finite float.
+//! * **One linear pass** — the parser walks the input once, front to back.
+//!   [`Json::parse`] takes a `&str`, so the input is already valid UTF-8:
+//!   each string's unescaped runs (everything up to the next `"`, `\` or
+//!   control byte, all ASCII and so always on a char boundary) are copied
+//!   as whole slices, never decoded or re-validated byte by byte. Decoding
+//!   costs O(frame bytes), which the size tripwire test pins down.
 //!
 //! Writing happens directly with `format!` in `wire`; only escaping
 //! ([`escape`]) lives here so both sides agree on it.
@@ -66,12 +72,15 @@ impl Json {
     ///
     /// Returns the first syntax error with its byte offset.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
-        let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != p.bytes.len() {
             return Err(p.err("trailing content"));
         }
         Ok(v)
@@ -147,6 +156,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The document; `pos` always sits on one of its char boundaries.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -223,7 +234,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.src[start..self.pos];
         if integral {
             text.parse::<i128>()
                 .map(Json::Int)
@@ -243,6 +254,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // as one slice. All three stop bytes are ASCII, so the run
+            // ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.src[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -269,10 +289,14 @@ impl Parser<'_> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let code = 0x10000
-                                        + ((u32::from(hi) - 0xD800) << 10)
-                                        + (u32::from(lo) - 0xDC00);
-                                    char::from_u32(code)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| {
+                                            0x10000
+                                                + ((u32::from(hi) - 0xD800) << 10)
+                                                + (u32::from(lo) - 0xDC00)
+                                        })
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -284,15 +308,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control byte in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control byte in string")),
             }
         }
     }
@@ -448,6 +464,105 @@ mod tests {
         assert!(e.to_string().contains("byte 4"));
         // Lone surrogate is rejected.
         assert!(Json::parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_copy_whole() {
+        // Runs of 2-, 3- and 4-byte UTF-8 characters.
+        let text = "aé€😀ééé€€€😀😀😀z";
+        assert_eq!(
+            Json::parse(&format!("\"{text}\"")).unwrap().as_str(),
+            Some(text)
+        );
+        // Escapes directly before and after multi-byte characters.
+        for (src, want) in [
+            (r#""\né\t""#, "\né\t"),
+            (r#""\u00e9€\"😀\\""#, "é€\"😀\\"),
+            (r#""😀\/€""#, "😀/€"),
+        ] {
+            assert_eq!(Json::parse(src).unwrap().as_str(), Some(want), "{src}");
+        }
+        // A multi-byte object key.
+        let v = Json::parse(r#"{"clé€": 1}"#).unwrap();
+        assert_eq!(v.get("clé€"), Some(&Json::Int(1)));
+    }
+
+    #[test]
+    fn surrogates_pair_or_fail() {
+        assert_eq!(
+            Json::parse(r#""x\ud83d\ude00y""#).unwrap().as_str(),
+            Some("x\u{1F600}y")
+        );
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\u00""#,
+        ] {
+            let e = Json::parse(lone).unwrap_err();
+            assert!(e.what.contains("unicode escape"), "{lone}: {e}");
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        // A raw control byte inside a run, after a 2-byte character.
+        let e = Json::parse("\"aé\u{1}b\"").unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (4, "control byte in string"));
+        let e = Json::parse("[\"ok\", \"x\ny\"]").unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (9, "control byte in string"));
+        // Unterminated at end of input, after a run and after an escape.
+        let e = Json::parse("\"abc€").unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (7, "unterminated string"));
+        let e = Json::parse(r#""a\n"#).unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (4, "unterminated string"));
+        let e = Json::parse(r#""a\"#).unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (3, "dangling escape"));
+        let e = Json::parse(r#""a\qb""#).unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (4, "unknown escape"));
+        let e = Json::parse(r#"{"k": "v"} "x""#).unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (11, "trailing content"));
+    }
+
+    #[test]
+    fn empty_strings_parse() {
+        assert_eq!(Json::parse(r#""""#).unwrap(), Json::Str(String::new()));
+        let v = Json::parse(r#"{"": ""}"#).unwrap();
+        assert_eq!(v.get(""), Some(&Json::Str(String::new())));
+    }
+
+    /// A size tripwire, not a timing test: it asserts content only. The
+    /// linear parser finishes in milliseconds; a parser that rescans the
+    /// rest of the input per string byte would take minutes here.
+    #[test]
+    fn large_documents_parse_in_one_pass() {
+        let long: String = "ab€😀".repeat((1 << 20) / 9 + 1);
+        assert!(long.len() >= 1 << 20);
+        let doc = format!("[\"{long}\", \"tail\"]");
+        let v = Json::parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(long.as_str()));
+        assert_eq!(items[1].as_str(), Some("tail"));
+
+        let keys = 50_000;
+        let mut doc = String::from("{");
+        for i in 0..keys {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("\"key{i}\":{i}"));
+        }
+        doc.push('}');
+        let Json::Obj(fields) = Json::parse(&doc).unwrap() else {
+            panic!("expected an object");
+        };
+        assert_eq!(fields.len(), keys);
+        for (i, (k, v)) in fields.iter().enumerate() {
+            assert_eq!(k, &format!("key{i}"));
+            assert_eq!(v, &Json::Int(i as i128));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::partition::{GridPartitioner, GridShard};
 use crate::wire::{
     frame_from_json, grid_digest, shard_spec_to_json, write_frame, FrameRead, FrameReader,
 };
-use btgs_core::{CellOutcome, CellResult, CellSink, GridCell, GridReport, ScenarioGrid};
+use btgs_core::{CellResult, CellSink, GridCell, GridReport, ScenarioGrid};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Write};
@@ -517,20 +517,8 @@ fn accept_frame(
             ));
         }
     }
-    // Variant check before `reassemble`, whose mismatch asserts would
-    // otherwise turn a corrupt-but-parseable frame into a parent panic —
-    // this path must stay an Err so checkpoint truncation and shard
-    // retries can handle it.
-    let variant_matches = match &frame.outcome {
-        CellOutcome::Piconet(_) => expected.piconets <= 1,
-        CellOutcome::Scatternet(..) => expected.piconets >= 2,
-    };
-    if !variant_matches {
-        return Err(format!(
-            "frame cell {} carries the wrong outcome variant for {} piconet(s)",
-            frame.index, expected.piconets
-        ));
-    }
+    // `frame_from_json` checked the outcome against the frame's cell,
+    // which equals `expected`, so `reassemble` cannot hit its asserts.
     Ok((
         frame.index,
         CellResult::reassemble(*expected, frame.outcome),
@@ -556,15 +544,15 @@ fn replay_checkpoint(
     let mut reader = FrameReader::new(BufReader::new(file));
     let mut replayed = 0usize;
     let valid_prefix = loop {
+        let frame_start = reader.consumed();
         match reader.next_frame()? {
-            FrameRead::Eof => break reader.consumed(),
-            FrameRead::Torn => break reader.consumed(),
+            FrameRead::Eof | FrameRead::Torn => break frame_start,
             FrameRead::Frame(payload) => {
                 match accept_frame(&payload, digest, cells, Some(&shard.cells)) {
                     // A checkpoint frame this parent cannot use (foreign
                     // grid after a hash collision, corruption) poisons
                     // the file from that point; keep the valid prefix.
-                    Err(_) => break reader.consumed() - frame_len(&payload),
+                    Err(_) => break frame_start,
                     Ok((index, result)) => {
                         if !merge.received[index] {
                             merge.deliver(index, result);
@@ -584,8 +572,66 @@ fn replay_checkpoint(
     Ok(replayed)
 }
 
-/// The on-disk size of a frame that was just read (prefix + payload +
-/// newline) — used to rewind over an unusable frame.
-fn frame_len(payload: &str) -> u64 {
-    (payload.len().to_string().len() + 1 + payload.len() + 1) as u64
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::frame_to_json;
+    use btgs_core::{BeSourceMix, PollerKind, Topology};
+    use btgs_des::{SimDuration, SimTime};
+
+    struct Ignore;
+    impl CellSink for Ignore {
+        fn accept(&mut self, _: usize, _: &CellResult) {}
+    }
+
+    #[test]
+    fn replay_truncates_exactly_before_an_unusable_frame() {
+        let grid = ScenarioGrid {
+            pollers: vec![PollerKind::PfpGs],
+            piconets: vec![1],
+            seeds: vec![1],
+            topologies: vec![Topology::Chain],
+            delay_requirements: vec![SimDuration::from_millis(40)],
+            chain_deadlines: vec![None],
+            bidirectional: false,
+            bridge_cycle: SimDuration::from_millis(20),
+            horizon: SimTime::from_secs(1),
+            warmup: SimDuration::from_millis(200),
+            include_be: false,
+            be_load_scale: vec![1.0],
+            be_source_mix: BeSourceMix::Cbr,
+            telemetry: false,
+        };
+        let cells = grid.cells();
+        let digest = grid_digest(&grid);
+        let shard = GridPartitioner::new().partition(&grid).remove(0);
+        let mut good = Vec::new();
+        let payload = frame_to_json(digest, 0, &cells[0], &cells[0].simulate());
+        write_frame(&mut good, &payload).unwrap();
+        // A well-framed but foreign frame whose length prefix is not in
+        // canonical form: the rewind must not recompute its size.
+        let foreign = payload.replacen(&format!("\"grid\":{digest}"), "\"grid\":1", 1);
+        let mut file = good.clone();
+        file.extend_from_slice(format!("+0{}\n{foreign}\n", foreign.len()).as_bytes());
+
+        let dir = std::env::temp_dir().join(format!("btgs-replay-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.ckpt");
+        fs::write(&path, &file).unwrap();
+        let mut sink = Ignore;
+        let mut merge = MergeState {
+            results: None,
+            received: vec![false; cells.len()],
+            sink: &mut sink,
+            done: 0,
+        };
+        let replayed = replay_checkpoint(&path, &shard, digest, &cells, &mut merge).unwrap();
+        assert_eq!((replayed, merge.done), (1, 1));
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            good,
+            "only the usable frame is kept"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -468,6 +468,66 @@ mod tests {
     }
 
     #[test]
+    fn aggregator_accepts_scatternet_cells_missing_paper_flows() {
+        // Piconet 0 of an admitted bidirectional chain and of a mesh does
+        // not carry every one of the paper's flows 1–4; the reference
+        // schedule's plans for the missing ones are skipped, not a panic.
+        let mut chain = grid();
+        chain.pollers = vec![PollerKind::PfpGs];
+        chain.piconets = vec![2];
+        chain.seeds = vec![1];
+        chain.bidirectional = true;
+        chain.bridge_cycle = SimDuration::from_millis(10);
+        chain.delay_requirements = vec![SimDuration::from_millis(46)];
+        chain.chain_deadlines = vec![Some(SimDuration::from_millis(400))];
+        chain.telemetry = true;
+        let mut mesh = grid();
+        mesh.pollers = vec![PollerKind::FixedGs];
+        mesh.piconets = vec![16];
+        mesh.seeds = vec![1];
+        mesh.include_be = false;
+        mesh.topologies = vec![btgs_core::Topology::Mesh {
+            degree: 3,
+            seed: 11,
+        }];
+
+        let mut cells = Vec::new();
+        for g in [&chain, &mesh] {
+            g.validate().unwrap();
+            let cell = g.cells()[0];
+            // Through the wire, as the sharded parent sees it.
+            let frame = frame_to_json(grid_digest(g), 0, &cell, &cell.simulate());
+            let outcome = frame_from_json(&frame).unwrap().outcome;
+            cells.push(CellResult::reassemble(cell, outcome));
+        }
+        for c in &cells {
+            let missing = c
+                .scenario
+                .gs_plans
+                .iter()
+                .filter(|p| c.report.try_flow(p.request.id).is_none())
+                .count();
+            assert!(missing > 0, "{:?} carries all paper flows", c.cell.topology);
+        }
+
+        let mut agg = OnlineAggregator::new();
+        for (i, c) in cells.iter().enumerate() {
+            agg.accept(i, c);
+        }
+        assert_eq!(agg.cells(), 2);
+        assert!(
+            agg.telemetry().events_processed > 0,
+            "the chain ran observed"
+        );
+        let report = btgs_core::GridReport { cells };
+        assert_eq!(
+            report.summary_table().render().lines().count(),
+            4,
+            "header, rule and one row per poller"
+        );
+    }
+
+    #[test]
     fn spill_sink_writes_parseable_frames() {
         let g = grid();
         let dir = std::env::temp_dir().join(format!("btgs-spill-test-{}", std::process::id()));

@@ -359,17 +359,36 @@ pub fn frame_from_json(src: &str) -> Result<CellFrame, WireError> {
         return Err(wire_err("unsupported frame version"));
     }
     let cell = cell_from_json(field(&j, "cell")?)?;
+    // The outcome must fit the frame's own cell: `CellResult::reassemble`
+    // asserts the variant and reads piconet 0, so a corrupt but parseable
+    // frame is rejected here rather than turned into a parent panic.
     let outcome = match (j.get("piconet"), j.get("scatternet")) {
-        (Some(r), None) => CellOutcome::Piconet(run_report_from_json(r)?),
-        (None, Some(r)) => CellOutcome::Scatternet(
-            scatternet_report_from_json(r)?,
-            // Telemetry frames are optional: a frame without one decodes
-            // to `None` (an unobserved cell).
-            j.get("telemetry")
-                .map(telemetry_from_json)
-                .transpose()?
-                .map(Box::new),
-        ),
+        (Some(r), None) if cell.piconets <= 1 => CellOutcome::Piconet(run_report_from_json(r)?),
+        (None, Some(r)) if cell.piconets >= 2 => {
+            let report = scatternet_report_from_json(r)?;
+            if report.piconets.len() != usize::from(cell.piconets) {
+                return Err(wire_err(format!(
+                    "scatternet report has {} piconets, its cell has {}",
+                    report.piconets.len(),
+                    cell.piconets
+                )));
+            }
+            CellOutcome::Scatternet(
+                report,
+                // Telemetry frames are optional: a frame without one
+                // decodes to `None` (an unobserved cell).
+                j.get("telemetry")
+                    .map(telemetry_from_json)
+                    .transpose()?
+                    .map(Box::new),
+            )
+        }
+        (Some(_), None) | (None, Some(_)) => {
+            return Err(wire_err(format!(
+                "wrong outcome variant for {} piconet(s)",
+                cell.piconets
+            )))
+        }
         _ => return Err(wire_err("frame must carry exactly one outcome")),
     };
     Ok(CellFrame {
@@ -730,9 +749,25 @@ pub fn run_report_from_json(j: &Json) -> Result<RunReport, WireError> {
             return Err(wire_err(format!("duplicate per-flow report for {id}")));
         }
     }
+    // `RunReport::flow` panics on a configured flow without a report.
+    let configured = flows
+        .iter()
+        .map(|f| f.id)
+        .chain(sco_flows.iter().map(|s| s.0));
+    for id in configured {
+        if !per_flow.contains_key(&id) {
+            return Err(wire_err(format!("no per-flow report for {id}")));
+        }
+    }
+    let window_start = SimTime::from_nanos(u64_field(j, "ws")?);
+    let window_end = SimTime::from_nanos(u64_field(j, "we")?);
+    // `RunReport::window` subtracts the two.
+    if window_end < window_start {
+        return Err(wire_err("measurement window ends before it starts"));
+    }
     Ok(RunReport {
-        window_start: SimTime::from_nanos(u64_field(j, "ws")?),
-        window_end: SimTime::from_nanos(u64_field(j, "we")?),
+        window_start,
+        window_end,
         flows,
         sco_flows,
         per_flow,
@@ -977,16 +1012,20 @@ impl<R: BufRead> FrameReader<R> {
     /// errors, because they are the expected signature of a killed
     /// writer.
     pub fn next_frame(&mut self) -> io::Result<FrameRead> {
-        // Length prefix line.
-        let mut prefix = String::new();
-        let got = self.inner.read_line(&mut prefix)?;
+        // Length prefix line, read as bytes: a corrupt prefix that is not
+        // UTF-8 is a torn frame, not an I/O error.
+        let mut prefix = Vec::new();
+        let got = self.inner.read_until(b'\n', &mut prefix)?;
         if got == 0 {
             return Ok(FrameRead::Eof);
         }
-        if !prefix.ends_with('\n') {
+        if prefix.last() != Some(&b'\n') {
             return Ok(FrameRead::Torn);
         }
-        let Ok(len) = prefix.trim().parse::<usize>() else {
+        let Some(len) = std::str::from_utf8(&prefix)
+            .ok()
+            .and_then(|p| p.trim().parse::<usize>().ok())
+        else {
             return Ok(FrameRead::Torn);
         };
         // Guard against absurd prefixes from corruption: refuse to
@@ -1207,6 +1246,37 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_reports_are_rejected() {
+        let mut grid = sample_grid();
+        grid.piconets = vec![1];
+        grid.seeds = vec![3];
+        grid.pollers = vec![PollerKind::PfpGs];
+        grid.be_load_scale = vec![1.0];
+        grid.horizon = SimTime::from_secs(1);
+        let cell = grid.cells()[0];
+        let json = frame_to_json(grid_digest(&grid), 0, &cell, &cell.simulate());
+        let reject = |from: &str, to: &str, why: &str| {
+            assert!(json.contains(from), "{from}");
+            let err = frame_from_json(&json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+        };
+        // A configured flow whose per-flow report went missing.
+        reject(
+            "\"per_flow\":[{\"id\":1,",
+            "\"per_flow\":[{\"id\":71,",
+            "no per-flow report",
+        );
+        // A window that ends before it starts.
+        reject("\"ws\":", "\"ws\":9", "window ends before");
+        // A single-piconet outcome on a scatternet cell.
+        reject(
+            "\"piconets\":1,",
+            "\"piconets\":2,",
+            "wrong outcome variant",
+        );
+    }
+
+    #[test]
     fn framing_detects_torn_tails() {
         let mut buf = Vec::new();
         write_frame(&mut buf, "{\"a\":1}").unwrap();
@@ -1234,6 +1304,9 @@ mod tests {
 
         // Garbage prefix is torn, not a parse panic.
         let mut reader = FrameReader::new(Cursor::new(b"xyz\n{}".as_slice()));
+        assert_eq!(reader.next_frame().unwrap(), FrameRead::Torn);
+        // So is a prefix that is not UTF-8 (not an I/O error).
+        let mut reader = FrameReader::new(Cursor::new(b"2\xff\n{}\n".as_slice()));
         assert_eq!(reader.next_frame().unwrap(), FrameRead::Torn);
         // Absurd length prefix is torn, not an allocation attempt.
         let mut reader = FrameReader::new(Cursor::new(b"99999999999\n".as_slice()));

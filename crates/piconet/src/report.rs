@@ -72,9 +72,13 @@ impl RunReport {
     ///
     /// Panics if the flow does not exist in the report.
     pub fn flow(&self, id: FlowId) -> &FlowReport {
-        self.per_flow
-            .get(&id)
+        self.try_flow(id)
             .unwrap_or_else(|| panic!("no report for {id}"))
+    }
+
+    /// The report of one flow, or `None` if the run did not carry it.
+    pub fn try_flow(&self, id: FlowId) -> Option<&FlowReport> {
+        self.per_flow.get(&id)
     }
 
     /// Delivered throughput of one flow in kbit/s.
