@@ -1,7 +1,7 @@
-//! Engine 3 — the divergence bisector CLI surface.
+//! The divergence bisector CLI surface.
 //!
-//! When two engine configurations that must be byte-identical (threads
-//! 1 vs N, widening on/off, a shuffled claim order) ever disagree, a
+//! When two engine configurations that must be byte-identical (widening
+//! on/off, batching on/off, a shuffled claim order) ever disagree, a
 //! failing report-digest assertion says *that* they diverged, not
 //! *where*. This module wraps [`btgs_piconet::bisect_runs`] — full-trace
 //! rolling hashes per island, binary search to the first diverging event,
@@ -10,9 +10,8 @@
 //! scenario from the shared [`sanitizer_corpus`] (the same trio the
 //! mutation-corpus tests and CI's sanitized smoke prove the engine on).
 //!
-//! The baseline is always the default engine at one thread; `--vs`
-//! specifies the configuration under suspicion, e.g.
-//! `threads=4|widening=off|shuffle=7`.
+//! The baseline is always the default engine; `--vs` specifies the
+//! configuration under suspicion, e.g. `shuffle=7|widening=off`.
 
 use btgs_core::{sanitizer_corpus, PollerKind, ScatternetScenario, ScatternetScenarioParams};
 use btgs_des::SimTime;
@@ -21,8 +20,6 @@ use btgs_piconet::{bisect_runs, BisectReport, ScatternetSim};
 /// One engine configuration of a bisection, parsed from a `--vs` spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BisectSpec {
-    /// Worker thread count (`threads=N`).
-    pub threads: usize,
     /// Adaptive phase widening (`widening=on|off`).
     pub widening: bool,
     /// Phase batching / idle skipping (`batching=on|off`).
@@ -33,18 +30,17 @@ pub struct BisectSpec {
 
 impl BisectSpec {
     /// The reference configuration every bisection compares against: the
-    /// default engine on one thread.
+    /// default engine.
     pub fn baseline() -> BisectSpec {
         BisectSpec {
-            threads: 1,
             widening: true,
             batching: true,
             shuffle: None,
         }
     }
 
-    /// Parses a `|`-separated spec: `threads=4`, `widening=off`,
-    /// `batching=off`, `shuffle=7`, in any combination. Unset knobs keep
+    /// Parses a `|`-separated spec: `widening=off`, `batching=off`,
+    /// `shuffle=7`, in any combination. Unset knobs keep
     /// the baseline defaults.
     ///
     /// # Errors
@@ -63,11 +59,6 @@ impl BisectSpec {
                 other => Err(format!("bad value `{other}` for {key}: expected on|off")),
             };
             match key {
-                "threads" => {
-                    out.threads = value
-                        .parse()
-                        .map_err(|_| format!("bad thread count `{value}`"))?;
-                }
                 "widening" => out.widening = on_off(value)?,
                 "batching" => out.batching = on_off(value)?,
                 "shuffle" => {
@@ -75,7 +66,7 @@ impl BisectSpec {
                 }
                 other => {
                     return Err(format!(
-                        "unknown --vs knob `{other}`; known: threads widening batching shuffle"
+                        "unknown --vs knob `{other}`; known: widening batching shuffle"
                     ))
                 }
             }
@@ -87,7 +78,6 @@ impl BisectSpec {
         let mut sim = ScatternetScenario::build(params)
             .simulator(PollerKind::PfpGs)
             .expect("corpus scenario builds")
-            .with_threads(self.threads)
             .with_phase_widening(self.widening)
             .with_phase_batching(self.batching);
         if let Some(seed) = self.shuffle {
@@ -139,11 +129,10 @@ mod tests {
 
     #[test]
     fn parses_full_spec() {
-        let spec = BisectSpec::parse("threads=4|widening=off|shuffle=7").unwrap();
+        let spec = BisectSpec::parse("widening=off|shuffle=7").unwrap();
         assert_eq!(
             spec,
             BisectSpec {
-                threads: 4,
                 widening: false,
                 batching: true,
                 shuffle: Some(7),
@@ -154,7 +143,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_specs() {
-        assert!(BisectSpec::parse("threads")
+        assert!(BisectSpec::parse("shuffle")
             .unwrap_err()
             .contains("key=value"));
         assert!(BisectSpec::parse("widening=maybe")
@@ -169,7 +158,7 @@ mod tests {
     fn unknown_topology_is_an_error() {
         let err = run_bisect(
             "torus",
-            &BisectSpec::parse("threads=2").unwrap(),
+            &BisectSpec::parse("shuffle=2").unwrap(),
             SimTime::from_millis(100),
         )
         .unwrap_err();
@@ -180,7 +169,7 @@ mod tests {
     fn clean_engine_configurations_do_not_diverge() {
         let report = run_bisect(
             "chain",
-            &BisectSpec::parse("threads=2|shuffle=3").unwrap(),
+            &BisectSpec::parse("batching=off|shuffle=3").unwrap(),
             SimTime::from_millis(900),
         )
         .unwrap();

@@ -1,4 +1,4 @@
-//! Engine 1 — the determinism lint.
+//! The determinism lint.
 //!
 //! A token-level scanner over every `.rs` file in the workspace, enforcing
 //! the repo's determinism law (see the crate docs for the rule list). It

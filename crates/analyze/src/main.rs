@@ -1,10 +1,7 @@
 //! `btgs-analyze` — the workspace's determinism gate.
 //!
 //! ```text
-//! cargo run -p btgs-analyze -- --workspace            # lint + model suite
-//! cargo run -p btgs-analyze -- --workspace --lint     # lint only
-//! cargo run -p btgs-analyze -- --workspace --model    # model suite only
-//!     --budget N      executions per model scenario (default 60000)
+//! cargo run -p btgs-analyze -- --workspace            # determinism lint
 //!     --write-audit   regenerate ANALYZE_WAIVERS.md in place
 //!     --root PATH     workspace root (default: this crate's ../..)
 //!     -D              deny: nonzero exit on any finding (the default;
@@ -12,50 +9,35 @@
 //!
 //! cargo run --release -p btgs-analyze -- --bisect TOPO   # divergence bisector
 //!     TOPO            corpus scenario: chain | ring | mesh
-//!     --vs SPEC       suspect configuration vs the 1-thread baseline
-//!                     (default threads=4), e.g. threads=4|widening=off|shuffle=7
+//!     --vs SPEC       suspect configuration vs the default engine
+//!                     (default shuffle=7|widening=off), e.g.
+//!                     batching=off|shuffle=3
 //!     --horizon-ms N  simulated horizon in milliseconds (default 1500)
 //! ```
 //!
-//! Exit status 0 means: zero unwaivered lint findings, a fresh committed
-//! waiver audit, every sound protocol scenario passed (exhaustively where
-//! required) and every weakened fixture was refuted with a counterexample —
-//! and, in bisect mode, byte-identical event traces (a found divergence
-//! exits 1 after printing the minimal aligned trace).
+//! Exit status 0 means: zero unwaivered lint findings and a fresh
+//! committed waiver audit — and, in bisect mode, byte-identical event
+//! traces (a found divergence exits 1 after printing the minimal aligned
+//! trace).
 
-use btgs_analyze::{audit, bisect, lint, scenarios};
+use btgs_analyze::{audit, bisect, lint};
 use btgs_des::SimTime;
 use std::path::PathBuf;
 
-/// Default executions per model scenario — sized so the whole suite stays
-/// well under a minute on a single vCPU (each execution is a handful of
-/// turnstile handoffs).
-const DEFAULT_BUDGET: u64 = 60_000;
-
 fn main() {
     let mut run_lint = false;
-    let mut run_model = false;
     let mut write_audit = false;
-    let mut budget = DEFAULT_BUDGET;
     let mut root: Option<PathBuf> = None;
     let mut bisect_topology: Option<String> = None;
-    let mut bisect_vs = String::from("threads=4");
+    let mut bisect_vs = String::from("shuffle=7|widening=off");
     let mut horizon_ms: u64 = 1500;
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--workspace" => {}
-            "--lint" => run_lint = true,
-            "--model" => run_model = true,
+            "--workspace" => run_lint = true,
             "--write-audit" => write_audit = true,
             "-D" | "--deny" => {}
-            "--budget" => {
-                budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--budget takes a positive integer"));
-            }
             "--root" => {
                 root = Some(PathBuf::from(
                     args.next().unwrap_or_else(|| die("--root takes a path")),
@@ -70,7 +52,7 @@ fn main() {
             "--vs" => {
                 bisect_vs = args
                     .next()
-                    .unwrap_or_else(|| die("--vs takes a spec like threads=4|widening=off"));
+                    .unwrap_or_else(|| die("--vs takes a spec like shuffle=7|widening=off"));
             }
             "--horizon-ms" => {
                 horizon_ms = args
@@ -79,14 +61,13 @@ fn main() {
                     .unwrap_or_else(|| die("--horizon-ms takes a positive integer"));
             }
             other => die(&format!(
-                "unknown flag {other}; known: --workspace --lint --model --budget N \
-                 --write-audit --root PATH -D --bisect TOPO --vs SPEC --horizon-ms N"
+                "unknown flag {other}; known: --workspace --write-audit --root PATH -D \
+                 --bisect TOPO --vs SPEC --horizon-ms N"
             )),
         }
     }
-    if !run_lint && !run_model && bisect_topology.is_none() {
+    if bisect_topology.is_none() {
         run_lint = true;
-        run_model = true;
     }
     let root = root.unwrap_or_else(|| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -131,45 +112,11 @@ fn main() {
         println!();
     }
 
-    if run_model {
-        println!("== atomics model checker ==");
-        for entry in scenarios::run_suite(budget) {
-            let r = &entry.report;
-            let ok = entry.ok();
-            let outcome = match (&r.failure, entry.expect_failure) {
-                (Some(_), true) => "refuted (as required)",
-                (None, false) if r.exhausted => "passed, exhaustive",
-                (None, false) => "passed, budget-bounded",
-                (Some(_), false) => "FAILED",
-                (None, true) => "MISSED (fixture not refuted)",
-            };
-            println!(
-                "{} {:<40} {:>8} executions  {}",
-                if ok { "ok  " } else { "FAIL" },
-                r.scenario,
-                r.executions,
-                outcome
-            );
-            if let Some(failure) = &r.failure {
-                if entry.expect_failure {
-                    println!("     counterexample: {}", failure.reason);
-                } else {
-                    println!("     violated: {}", failure.reason);
-                    println!("     interleaving:");
-                    for line in &failure.trace {
-                        println!("       {line}");
-                    }
-                }
-            }
-            failed |= !ok;
-        }
-    }
-
     if let Some(topology) = bisect_topology {
         println!("== divergence bisector ==");
         let spec = bisect::BisectSpec::parse(&bisect_vs).unwrap_or_else(|e| die(&e));
         println!(
-            "{topology}: baseline (1 thread, default engine) vs `{bisect_vs}`, \
+            "{topology}: baseline (default engine) vs `{bisect_vs}`, \
              horizon {horizon_ms} ms"
         );
         let report = bisect::run_bisect(&topology, &spec, SimTime::from_millis(horizon_ms))

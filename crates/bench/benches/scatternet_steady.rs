@@ -10,14 +10,8 @@
 //! are the baseline: a scatternet run costs roughly the sum of its
 //! piconets plus the (small) relay fabric.
 //!
-//! The `parallel4` twins run the *same* scenarios through the island
-//! engine with four worker threads ([`ScatternetSim::with_threads`]);
-//! reports are byte-identical to the serial runs (asserted by
-//! `tests/parallel_equivalence.rs`), so a twin's speedup is pure engine
-//! parallelism, not a different workload.
-//!
 //! Each probe run also prints the engine's observability counters
-//! (`phases_run`, `barrier_rounds`, `islands_claimed`, `relays_staged`)
+//! (`phases_run`, `islands_claimed`, `relays_staged`)
 //! and annotates them into the JSON trajectory record, so the effect of
 //! phase batching and adaptive widening on the round structure is
 //! tracked across PRs alongside the wall clock.
@@ -27,10 +21,9 @@
 //! instrumented monomorphisation. Its cost rides *only* on that twin:
 //! every other case runs the uninstrumented engine (the probe seam is a
 //! const-generic parameter, compiled out of the default path), so the
-//! serial and parallel trajectories above double as the regression gate
-//! that attaching the sanitizer costs the production engine nothing.
+//! trajectories above double as the regression gate that attaching the
+//! sanitizer costs the production engine nothing.
 //!
-//! [`ScatternetSim::with_threads`]: btgs_piconet::ScatternetSim::with_threads
 //! [`ScatternetSim::run_sanitized`]: btgs_piconet::ScatternetSim::run_sanitized
 
 use btgs_bench::microbench::{Criterion, Throughput};
@@ -58,12 +51,11 @@ fn params(piconets: u16, topology: Topology) -> ScatternetScenarioParams {
     }
 }
 
-fn run(piconets: u16, topology: Topology, threads: usize) -> btgs_piconet::ScatternetReport {
+fn run(piconets: u16, topology: Topology) -> btgs_piconet::ScatternetReport {
     let scenario = ScatternetScenario::build(params(piconets, topology));
     scenario
         .simulator(PollerKind::PfpGs)
         .expect("scenario builds")
-        .with_threads(threads)
         .run(SimTime::from_secs(5))
         .expect("scenario runs")
 }
@@ -88,7 +80,7 @@ fn scatternet_throughput(c: &mut Criterion) {
         // One probe run per scenario supplies the event count for the
         // events/sec figure (runs are deterministic, so it is exact) and
         // the engine counters for the trajectory record.
-        let probe = run(n, topology, 1);
+        let probe = run(n, topology);
         let events = probe.events_processed;
         println!(
             "{name:<44} {} phases, {} islands claimed, {} relays staged",
@@ -96,7 +88,7 @@ fn scatternet_throughput(c: &mut Criterion) {
         );
         group.throughput(Throughput::Elements(events));
         group.bench_function(&format!("{name}_5s_simulated"), |b| {
-            b.iter(|| black_box(run(n, topology, 1).total_throughput_kbps()))
+            b.iter(|| black_box(run(n, topology).total_throughput_kbps()))
         });
         group.annotate(
             &format!("{name}_5s_simulated"),
@@ -106,31 +98,11 @@ fn scatternet_throughput(c: &mut Criterion) {
                 ("relays_staged", probe.relays_staged),
             ],
         );
-        // The parallel twin simulates the identical scenario; only the
-        // wall clock (and the barrier-round count) may differ.
-        let par_probe = run(n, topology, 4);
-        println!(
-            "{name:<44} {} barrier rounds at 4 threads",
-            par_probe.barrier_rounds,
-        );
-        group.throughput(Throughput::Elements(events));
-        group.bench_function(&format!("{name}_5s_parallel4"), |b| {
-            b.iter(|| black_box(run(n, topology, 4).total_throughput_kbps()))
-        });
-        group.annotate(
-            &format!("{name}_5s_parallel4"),
-            &[
-                ("phases_run", par_probe.phases_run),
-                ("barrier_rounds", par_probe.barrier_rounds),
-                ("islands_claimed", par_probe.islands_claimed),
-                ("relays_staged", par_probe.relays_staged),
-            ],
-        );
     }
     // The sanitized twin: the chained-3 scenario under the causality
     // sanitizer. Tracks the instrumentation's own overhead; the default
     // cases above stay on the compiled-out path.
-    let san_probe = run(3, Topology::Chain, 1);
+    let san_probe = run(3, Topology::Chain);
     group.throughput(Throughput::Elements(san_probe.events_processed));
     group.bench_function("chained3_5s_sanitized", |b| {
         b.iter(|| {

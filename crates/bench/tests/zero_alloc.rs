@@ -362,56 +362,13 @@ fn observed_scatternet_steady_state_is_allocation_free() {
     );
 }
 
-fn parallel_scatternet_steady_state_is_allocation_free() {
-    // The same bracketed window as `scatternet_steady_state_is_allocation_
-    // free`, but through the phased engine with two worker threads. The
-    // workers are spawned once at run start (before the checkpoint), the
-    // staging scratch and every island buffer are pre-sized, and workers
-    // only ever lock-and-run islands between barriers — so the steady
-    // state must stay allocation-free even though the counter is
-    // process-global and sees every thread.
-    let scenario = ScatternetScenario::build(ScatternetScenarioParams {
-        piconets: 2,
-        delay_requirement: SimDuration::from_millis(40),
-        seed: 1,
-        warmup: SimDuration::from_millis(500),
-        include_be: false,
-        bridge_cycle: SimDuration::from_millis(20),
-        chain_deadline: None,
-        bidirectional: false,
-        be_load_scale: 1.0,
-        be_source_mix: BeSourceMix::Cbr,
-        topology: Topology::Chain,
-    });
-    let sim = scenario
-        .simulator(PollerKind::PfpGs)
-        .unwrap()
-        .with_threads(2);
-    let mut marks = [0u64; 2];
-    let mut i = 0;
-    let report = sim
-        .run_probed(SimTime::from_secs(2), SimTime::from_secs(6), &mut || {
-            marks[i.min(1)] = allocation_count();
-            i += 1;
-        })
-        .unwrap();
-    assert_eq!(i, 2, "probe fires at checkpoint and at loop end");
-    let delta = marks[1] - marks[0];
-    assert_eq!(
-        delta, 0,
-        "parallel scatternet steady state allocated {delta} times over 4 simulated seconds"
-    );
-    assert!(report.events_processed > 4_000);
-    assert!(report.chains[0].delivered_packets > 100);
-}
-
 fn mesh_scatternet_steady_state_is_allocation_free() {
     // Mesh scale: 256 random-geometric piconets, every spanning edge
-    // covered by a relay chain, run through the adaptive parallel engine.
-    // The relay pool, the boundary calendar, the per-island meta table
-    // and the staging buffers are all sized up front, so even hundreds of
-    // islands exchanging relays every rendezvous cycle must not touch
-    // the allocator after warm-up. Degree 2: each piconet then carries at
+    // covered by a relay chain, run through the adaptive island engine.
+    // The relay pool, the boundary calendar, the per-island status
+    // vectors and the staging buffers are all sized up front, so even
+    // hundreds of islands exchanging relays every rendezvous cycle must
+    // not touch the allocator after warm-up. Degree 2: each piconet then carries at
     // most one inbound and one outbound bridge role, whose presence
     // windows anti-phase within the rendezvous cycle — the same
     // sustainable transit layout as a chain. (At degree 3 two inbound
@@ -434,10 +391,7 @@ fn mesh_scatternet_steady_state_is_allocation_free() {
             seed: 11,
         },
     });
-    let sim = scenario
-        .simulator(PollerKind::PfpGs)
-        .unwrap()
-        .with_threads(2);
+    let sim = scenario.simulator(PollerKind::PfpGs).unwrap();
     let mut marks = [0u64; 2];
     let mut i = 0;
     let report = sim
@@ -534,8 +488,6 @@ fn main() {
     println!("ok - scatternet steady state is allocation-free");
     observed_scatternet_steady_state_is_allocation_free();
     println!("ok - observed (traced+metered) scatternet steady state is allocation-free");
-    parallel_scatternet_steady_state_is_allocation_free();
-    println!("ok - parallel scatternet steady state is allocation-free");
     mesh_scatternet_steady_state_is_allocation_free();
     println!("ok - 256-piconet mesh steady state is allocation-free");
     grid_aggregator_memory_is_independent_of_cell_count();

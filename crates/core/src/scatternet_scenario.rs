@@ -234,9 +234,8 @@ impl ScatternetScenarioParams {
 
 /// The sanitizer/bisector corpus: one small scenario per topology class
 /// (chain, ring, mesh), shared by the piconet mutation-corpus tests, the
-/// `btgs-analyze -- --bisect` CLI and CI's sanitized parallel-equivalence
-/// smoke — so all three surfaces prove the same engine on the same
-/// workloads. Short warmups keep a corpus run cheap; the default CBR load
+/// `btgs-analyze -- --bisect` CLI and the root sanitizer smoke test — so
+/// all three surfaces prove the same engine on the same workloads. Short warmups keep a corpus run cheap; the default CBR load
 /// keeps islands busy across bridge handoffs, which the lookahead-safety
 /// and staging-order checks need to bite.
 pub fn sanitizer_corpus() -> Vec<(&'static str, ScatternetScenarioParams)> {

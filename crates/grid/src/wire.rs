@@ -831,10 +831,9 @@ pub fn scatternet_report_to_json(r: &ScatternetReport) -> String {
     }
     let _ = write!(
         s,
-        "],\"events\":{},\"phases\":{},\"barrier_rounds\":{},\"islands_claimed\":{},\"relays_staged\":{},\"widening_stretches\":{},\"islands_skipped_idle\":{},\"relays_injected\":{}}}",
+        "],\"events\":{},\"phases\":{},\"islands_claimed\":{},\"relays_staged\":{},\"widening_stretches\":{},\"islands_skipped_idle\":{},\"relays_injected\":{}}}",
         r.events_processed,
         r.phases_run,
-        r.barrier_rounds,
         r.islands_claimed,
         r.relays_staged,
         r.widening_stretches,
@@ -861,7 +860,6 @@ pub fn scatternet_report_from_json(j: &Json) -> Result<ScatternetReport, WireErr
             .collect::<Result<Vec<_>, _>>()?,
         events_processed: u64_field(j, "events")?,
         phases_run: u64_field(j, "phases")?,
-        barrier_rounds: u64_field(j, "barrier_rounds")?,
         islands_claimed: u64_field(j, "islands_claimed")?,
         relays_staged: u64_field(j, "relays_staged")?,
         widening_stretches: u64_field(j, "widening_stretches")?,
@@ -900,13 +898,12 @@ pub fn telemetry_to_json(t: &TelemetryReport) -> String {
     let mut s = String::with_capacity(1024);
     let _ = write!(
         s,
-        "{{\"events\":{},\"phases\":{},\"barrier_rounds\":{},\"islands_claimed\":{},\
+        "{{\"events\":{},\"phases\":{},\"islands_claimed\":{},\
          \"relays_staged\":{},\"relays_injected\":{},\"widening_stretches\":{},\
          \"islands_skipped_idle\":{},\"gs_polls_successful\":{},\"gs_polls_unsuccessful\":{},\
          \"be_polls_successful\":{},\"be_polls_unsuccessful\":{},\"trace_dropped\":{}",
         t.events_processed,
         t.phases_run,
-        t.barrier_rounds,
         t.islands_claimed,
         t.relays_staged,
         t.relays_injected,
@@ -940,7 +937,6 @@ pub fn telemetry_from_json(j: &Json) -> Result<TelemetryReport, WireError> {
     Ok(TelemetryReport {
         events_processed: u64_field(j, "events")?,
         phases_run: u64_field(j, "phases")?,
-        barrier_rounds: u64_field(j, "barrier_rounds")?,
         islands_claimed: u64_field(j, "islands_claimed")?,
         relays_staged: u64_field(j, "relays_staged")?,
         relays_injected: u64_field(j, "relays_injected")?,

@@ -21,7 +21,7 @@
 //!   [`KindBreakdown`].
 //!
 //! * [`profile_breakdown`] — the per-event cost profiler: runs a fixed
-//!   scenario table single-threaded with one meter per island and
+//!   scenario table with one meter per island and
 //!   renders the committed `BENCH_profile_breakdown.json`, replacing
 //!   the retired `island_profile` dev bin.
 
@@ -205,8 +205,7 @@ pub struct KindBreakdown {
 }
 
 /// The profiler's scenario table: the trajectory's headline chained
-/// cases (the sub-150 ns/event lever) plus one mesh, all
-/// single-threaded so handler cost is not hidden behind parallelism.
+/// cases (the sub-150 ns/event lever) plus one mesh.
 fn profile_table() -> Vec<(&'static str, ScatternetScenarioParams)> {
     vec![
         ("chained2-20ms", ScatternetScenarioParams::chained(2)),
@@ -217,8 +216,8 @@ fn profile_table() -> Vec<(&'static str, ScatternetScenarioParams)> {
 
 /// Runs the profiler table and collects per-kind breakdowns.
 ///
-/// Each scenario runs once to `seconds` of sim-time at one thread with
-/// a [`WallMeter`] per island; the meters are merged after the run.
+/// Each scenario runs once to `seconds` of sim-time with a
+/// [`WallMeter`] per island; the meters are merged after the run.
 ///
 /// # Panics
 ///
@@ -231,8 +230,7 @@ pub fn profile_breakdown(seconds: u64) -> Vec<KindBreakdown> {
             let piconets = params.piconets as usize;
             let sim = ScatternetScenario::build(params)
                 .simulator(PollerKind::PfpGs)
-                .expect("profiler table scenario builds")
-                .with_threads(1);
+                .expect("profiler table scenario builds");
             let meters: Vec<Box<dyn EventMeter>> = (0..piconets)
                 .map(|_| Box::new(WallMeter::new()) as Box<dyn EventMeter>)
                 .collect();

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p btgs-obs -- --trace chain --out trace.json \
-//!     [--telemetry telemetry.json] [--threads N] [--seconds N] [--fine]
+//!     [--telemetry telemetry.json] [--seconds N] [--fine]
 //! cargo run --release -p btgs-obs -- --profile [--out BENCH_profile_breakdown.json] [--seconds N]
 //! ```
 //!
@@ -23,7 +23,7 @@ use btgs_piconet::ObsConfig;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: btgs-obs --trace {chain|ring|mesh} --out PATH \
-                     [--telemetry PATH] [--threads N] [--seconds N] [--fine]\n\
+                     [--telemetry PATH] [--seconds N] [--fine]\n\
                      \x20      btgs-obs --profile [--out PATH] [--seconds N]";
 
 struct Args {
@@ -31,7 +31,6 @@ struct Args {
     profile: bool,
     out: Option<String>,
     telemetry: Option<String>,
-    threads: usize,
     seconds: u64,
     fine: bool,
 }
@@ -42,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         profile: false,
         out: None,
         telemetry: None,
-        threads: 1,
         seconds: 2,
         fine: false,
     };
@@ -57,11 +55,6 @@ fn parse_args() -> Result<Args, String> {
             "--profile" => args.profile = true,
             "--out" => args.out = Some(value("--out")?),
             "--telemetry" => args.telemetry = Some(value("--telemetry")?),
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--seconds" => {
                 args.seconds = value("--seconds")?
                     .parse()
@@ -90,8 +83,7 @@ fn run_trace(args: &Args) -> Result<(), String> {
     let piconets = params.piconets as usize;
     let sim = ScatternetScenario::build(params)
         .simulator(PollerKind::PfpGs)
-        .map_err(|e| format!("building {label}: {e}"))?
-        .with_threads(args.threads);
+        .map_err(|e| format!("building {label}: {e}"))?;
     let cfg = ObsConfig {
         fine_events: args.fine,
         ..ObsConfig::default()

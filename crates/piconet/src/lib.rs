@@ -20,11 +20,16 @@
 //!   retransmission for the paper's future-work benches;
 //! * full accounting: per-flow delays and throughput, per-category
 //!   [slot usage](SlotLedger), poll success counters;
-//! * a **scatternet layer** ([`ScatternetSim`]): N piconets on one shared
-//!   engine, a sharded flow arena ([`ShardedFlowArena`]) routing global
-//!   flow ids, bridge slaves on deterministic rendezvous schedules
-//!   ([`PresenceMask`]), and cross-piconet chains with end-to-end and
-//!   bridge-residence delay accounting ([`ChainReport`]).
+//! * a **scatternet layer** ([`ScatternetSim`]): N piconets run as
+//!   islands (one single-piconet simulator each) that one thread advances
+//!   in turn between conservative sync points, a sharded flow arena
+//!   ([`ShardedFlowArena`]) routing global flow ids, bridge slaves on
+//!   deterministic rendezvous schedules ([`PresenceMask`]), and
+//!   cross-piconet chains with end-to-end and bridge-residence delay
+//!   accounting ([`ChainReport`]). A causality sanitizer, a divergence
+//!   bisector and a tracing/telemetry layer
+//!   ([`ScatternetSim::run_sanitized`], [`bisect_runs`],
+//!   [`ScatternetSim::run_observed`]) are compiled out of plain runs.
 //!
 //! Polling *policies* plug in through the [`Poller`] trait; baselines live
 //! in `btgs-pollers`, and the paper's Guaranteed Service pollers in
@@ -44,7 +49,6 @@ mod sanitizer;
 mod sar;
 mod scatternet;
 mod sim;
-pub mod sync_protocol;
 mod telemetry;
 
 pub use config::{AllowedByCap, PiconetConfig, PiconetError, PresenceMask, SarPolicy, ScoBinding};

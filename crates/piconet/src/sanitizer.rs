@@ -34,7 +34,7 @@
 //!   returns a report byte-identical to the unsanitized one.
 //!
 //! * a **divergence bisector** ([`bisect_runs`]): given two engine
-//!   configurations that must be byte-identical (threads 1 vs N, widening
+//!   configurations that must be byte-identical (widening on/off, batching
 //!   on/off, shuffled claim order — or a seeded [`EngineMutation`]), run
 //!   both with per-island rolling event hashes, binary-search each island's
 //!   hash sequence to its first diverging event, pick the earliest across
@@ -54,10 +54,10 @@ use crate::config::PiconetError;
 use crate::telemetry::IslandObs;
 use crate::ScatternetSim;
 use btgs_des::SimTime;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Which causality invariant a [`SanitizerFinding`] violated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -334,7 +334,7 @@ pub(crate) fn event_hash(h: u64, t_nanos: u64, kind: TraceKind, a: u64, b: u64) 
 pub(crate) struct IslandProbe {
     pic: u16,
     sanitize: bool,
-    tripped: Arc<AtomicBool>,
+    tripped: Rc<Cell<bool>>,
     findings: Vec<SanitizerFinding>,
     /// Monotone-clock watermark: the last handled event's instant.
     last_event: Option<SimTime>,
@@ -360,7 +360,7 @@ pub(crate) struct IslandProbe {
 impl IslandProbe {
     pub(crate) fn new(
         pic: u16,
-        tripped: Arc<AtomicBool>,
+        tripped: Rc<Cell<bool>>,
         sanitize: bool,
         trace: Option<&TraceConfig>,
         obs: Option<IslandObs>,
@@ -396,10 +396,8 @@ impl IslandProbe {
             at,
             message,
         });
-        // ord: Relaxed — a best-effort halt flag the coordinator polls
-        // between rounds; the findings themselves are read only after the
-        // engine's locks/joins, which order them.
-        self.tripped.store(true, Ordering::Relaxed);
+        // The halt flag the round loop polls between rounds.
+        self.tripped.set(true);
     }
 
     /// Called by the instrumented handler for every island event, with
@@ -550,7 +548,7 @@ impl IslandProbe {
 /// pool and the injections (the per-island checks live in
 /// [`IslandProbe`]).
 pub(crate) struct EngineSanitizer {
-    tripped: Arc<AtomicBool>,
+    tripped: Rc<Cell<bool>>,
     findings: Vec<SanitizerFinding>,
     /// The last injected `(handoff, source, seq)` key — the global total
     /// order.
@@ -564,7 +562,7 @@ pub(crate) struct EngineSanitizer {
 }
 
 impl EngineSanitizer {
-    pub(crate) fn new(tripped: Arc<AtomicBool>) -> EngineSanitizer {
+    pub(crate) fn new(tripped: Rc<Cell<bool>>) -> EngineSanitizer {
         EngineSanitizer {
             tripped,
             findings: Vec::new(),
@@ -578,8 +576,7 @@ impl EngineSanitizer {
     }
 
     pub(crate) fn tripped(&self) -> bool {
-        // ord: Relaxed — best-effort halt poll; see IslandProbe::report.
-        self.tripped.load(Ordering::Relaxed)
+        self.tripped.get()
     }
 
     fn report(&mut self, check: SanitizerCheck, island: u16, at: SimTime, message: String) {
@@ -589,9 +586,7 @@ impl EngineSanitizer {
             at,
             message,
         });
-        // ord: Relaxed — coordinator-local flag raise; see
-        // IslandProbe::report.
-        self.tripped.store(true, Ordering::Relaxed);
+        self.tripped.set(true);
     }
 
     /// Checks one staged relay drained from island `source` at phase

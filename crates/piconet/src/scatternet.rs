@@ -22,8 +22,9 @@
 //!   code. Islands only interact through bridge relays, and a relay is
 //!   never live before the bridge's next presence window opens in the
 //!   target piconet, so the window starts are *conservative sync points*
-//!   (classic conservative parallel DES, with the rendezvous schedule as
-//!   the lookahead):
+//!   (classic conservative DES, with the rendezvous schedule as the
+//!   lookahead). One thread advances the islands in turn, each to the
+//!   next sync point:
 //!
 //!   ```text
 //!    island 0  ──phase──▶|        ──▶|          ──▶|
@@ -43,13 +44,13 @@
 //!   conservative per-island hotness instant derived from its in-flight
 //!   chain count and pending entry arrivals) — otherwise the phase widens
 //!   straight across them. Idle islands (next event past the boundary)
-//!   are never claimed, locked or drained, and staged relays park in a
+//!   are never run or drained, and staged relays park in a
 //!   coordinator-side pool until the round clock reaches their handoff
 //!   instant, at which point the target island has provably processed
 //!   every own event at that instant. The injection order — handoff
 //!   instant, then source piconet, then staging sequence — is a total
-//!   order, so reports are **byte-identical** across thread counts,
-//!   island visit orders, and the widening/batching toggles
+//!   order, so reports are **byte-identical** across island visit
+//!   orders and the widening/batching toggles
 //!   ([`ScatternetSim::with_phase_widening`],
 //!   [`ScatternetSim::with_phase_batching`]);
 //! * [`ScatternetReport`] carries each piconet's [`RunReport`] (per-hop
@@ -71,19 +72,15 @@ use crate::sanitizer::{
     TraceConfig, TraceKind,
 };
 use crate::sim::{handle, seed_world, Ev, Target, World};
-use crate::sync_protocol::{
-    barrier_wait, claim_next, collect_staged, publish_staged, BarrierOrderings, StagedOrderings,
-    SyncEnv,
-};
 use crate::telemetry::{CoordObs, EventMeter, IslandObs, ObsConfig, ObservedRun};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
 use btgs_des::{DetRng, EventQueue, Scheduler, SimDuration, SimTime, Simulator};
 use btgs_metrics::DelayStats;
 use btgs_traffic::{AppPacket, FlowId, Source};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// How one global flow id resolves to its shard. Mirrors the dense/spread
 /// split of the per-piconet id index.
@@ -692,147 +689,11 @@ fn earliest_calendar_start(t: SimTime, groups: &[SyncPoint]) -> SimTime {
         .unwrap_or(SimTime::MAX)
 }
 
-/// Spin iterations before a barrier waiter starts yielding.
-const SPIN_BUDGET: u32 = 1_000;
-
-/// Yields before the barrier decides the host is oversubscribed and
-/// falls back to sleeping.
-const YIELD_BUDGET: u32 = 64;
-
-/// Cap on the backoff exponent: sleeps top out at `2^8` µs, the order of
-/// a scheduler quantum.
-const BACKOFF_CAP_EXP: u32 = 8;
-
-/// A spinning barrier sized for sub-millisecond phases.
-///
-/// `std::sync::Barrier` parks threads in the kernel; at the paper's bridge
-/// cycles a phase is ~10 ms of simulated time but only a few microseconds
-/// of work per island, so wake-up latency would dominate. Island workers
-/// instead spin on a generation counter with an adaptive budget: a short
-/// hot spin, then scheduler yields, and — once the yield count says the
-/// host is oversubscribed (more runnable threads than cores, so the
-/// release this waiter needs may be starved by the waiter itself) —
-/// exponential-backoff sleeps capped near a scheduler quantum.
-struct SpinBarrier {
-    n: u64,
-    count: AtomicU64,
-    generation: AtomicU64,
-    env: HardwareSyncEnv,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> SpinBarrier {
-        let hw = std::thread::available_parallelism().map_or(1, |c| c.get());
-        SpinBarrier {
-            n: n as u64,
-            count: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            env: HardwareSyncEnv {
-                // Zero when the barrier was built for more waiters than
-                // the host has cores: spinning then only steals cycles
-                // from the waiter being waited for.
-                spin_budget: if n > hw { 0 } else { SPIN_BUDGET },
-            },
-        }
-    }
-
-    /// One crossing of the generation protocol
-    /// ([`crate::sync_protocol::barrier_wait`] — the logic the
-    /// `btgs-analyze` model checker explores exhaustively) on hardware
-    /// atomics with the adaptive waiter.
-    fn wait(&self) {
-        barrier_wait(
-            &self.env,
-            &self.count,
-            &self.generation,
-            self.n,
-            &BarrierOrderings::SOUND,
-        );
-    }
-}
-
-/// The hardware half of the barrier seam: waiting is a hot spin, then
-/// scheduler yields, and — once the yield count says the host is
-/// oversubscribed (more runnable threads than cores, so the release this
-/// waiter needs may be starved by the waiter itself) — exponential-backoff
-/// sleeps capped near a scheduler quantum.
-struct HardwareSyncEnv {
-    /// Spin iterations before yielding.
-    spin_budget: u32,
-}
-
-impl SyncEnv for HardwareSyncEnv {
-    type Cell = AtomicU64;
-
-    fn wait_until_changed(&self, cell: &AtomicU64, old: u64, order: Ordering) -> u64 {
-        let mut spins = 0u32;
-        let mut yields = 0u32;
-        loop {
-            // ord: the caller's ordering — the barrier passes Acquire
-            // (justified in sync_protocol::barrier_wait).
-            let v = cell.load(order);
-            if v != old {
-                return v;
-            }
-            if spins < self.spin_budget {
-                spins += 1;
-                std::hint::spin_loop();
-            } else if yields < YIELD_BUDGET {
-                yields += 1;
-                std::thread::yield_now();
-            } else {
-                let exp = (yields - YIELD_BUDGET).min(BACKOFF_CAP_EXP);
-                yields = yields.saturating_add(1);
-                std::thread::sleep(std::time::Duration::from_micros(1u64 << exp));
-            }
-        }
-    }
-}
-
-/// `SimTime` as the nanosecond payload of a status atomic
-/// (`SimTime::MAX` round-trips as `u64::MAX`).
+/// `SimTime` as nanoseconds since the origin — the time key of trace
+/// hashes and trace records (`SimTime::MAX` maps to `u64::MAX`).
 #[inline]
 pub(crate) fn nanos_of(t: SimTime) -> u64 {
     (t - SimTime::ZERO).as_nanos()
-}
-
-/// Inverse of [`nanos_of`].
-#[inline]
-fn time_of(nanos: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_nanos(nanos)
-}
-
-/// Published status of one island, read lock-free by the coordinator's
-/// boundary/claim decisions and written by whichever participant last ran
-/// (or injected into) the island. The barrier's acquire/release pairs
-/// order every publish before the next round's reads.
-struct IslandMeta {
-    /// Earliest pending event, nanos; `u64::MAX` when drained.
-    next_event: AtomicU64,
-    /// Chain hotness instant, nanos (see [`island_status`]).
-    hot_from: AtomicU64,
-    /// The island staged relays since the last collect (0/1 flag, driven
-    /// through the [`publish_staged`]/[`collect_staged`] protocol that
-    /// `btgs-analyze` model-checks exhaustively).
-    staged: AtomicU64,
-}
-
-impl IslandMeta {
-    fn publish(&self, next_event: SimTime, hot_from: SimTime, staged: bool) {
-        // ord: Release on all three — the coordinator reads them after the
-        // round's barrier crossing, whose Acquire/Release pair already
-        // orders them; the explicit Release keeps each publish
-        // individually well-ordered for the batching fast path, which
-        // reads `next_event` *without* an intervening barrier.
-        self.next_event
-            .store(nanos_of(next_event), Ordering::Release);
-        self.hot_from.store(nanos_of(hot_from), Ordering::Release); // ord: see above
-        if staged {
-            // ord: Release via StagedOrderings::SOUND, justified in
-            // sync_protocol::publish_staged.
-            publish_staged(&self.staged, &StagedOrderings::SOUND);
-        }
-    }
 }
 
 /// Post-run island bookkeeping: `(next pending event time, chain
@@ -947,7 +808,7 @@ fn collect_island(
 /// has already processed every own event at that instant (it ran
 /// inclusively to it, or had nothing due), so injected relays land behind
 /// all same-instant local events in wheel FIFO order — an ordering that
-/// holds identically across thread counts, claim orders and the
+/// holds identically across island visit orders and the
 /// widening/batching toggles, which is what makes the reports
 /// byte-identical across all of them.
 fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
@@ -983,7 +844,6 @@ fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct EngineCounters {
     pub(crate) phases_run: u64,
-    pub(crate) barrier_rounds: u64,
     pub(crate) islands_claimed: u64,
     pub(crate) relays_staged: u64,
     pub(crate) widening_stretches: u64,
@@ -1022,7 +882,7 @@ impl MutationState {
     }
 }
 
-/// Per-run instrumentation control handed to the engine loops: the
+/// Per-run instrumentation control handed to the engine loop: the
 /// sanitizer (sanitized runs), the seeded mutation (corpus tests) and the
 /// coordinator-side observability recorder (observed runs). Default runs
 /// carry `None` in every field; every hook is a per-round or
@@ -1158,8 +1018,8 @@ impl EngineCtl<'_> {
     /// the `[t, b]` slice, the claim/skip split, the post-collect relay
     /// pool occupancy and whether adaptive widening stretched the phase
     /// past a calendar start. Every argument is derived from
-    /// thread-count-invariant engine state, so the recorded trace is
-    /// byte-identical across 1/2/4 threads and claim orders.
+    /// visit-order-invariant engine state, so the recorded trace is
+    /// byte-identical across island visit orders.
     fn on_phase(
         &mut self,
         t: SimTime,
@@ -1196,49 +1056,12 @@ impl EngineCtl<'_> {
     }
 }
 
-/// Rounds with at most this many active islands are run by the
-/// coordinator alone instead of being dispatched through two barrier
-/// crossings that wake every worker.
-const SOLO_ROUND_MAX: usize = 2;
-
-/// The parallel claim loop: every participant (workers and the
-/// coordinator) claims the next position off the shared cursor; claimed
-/// islands run to `b` and publish their status. With batching, an island
-/// with no event due by `b` is skipped without ever taking its lock.
-fn claim_islands<const I: bool>(
-    cells: &[Mutex<IslandSim>],
-    meta: &[IslandMeta],
-    order: &[usize],
-    cursor: &AtomicU64,
-    b: SimTime,
-    batching: bool,
-) {
-    let b_nanos = nanos_of(b);
-    // ord: Relaxed — RMW atomicity alone partitions the claims; justified
-    // in sync_protocol::claim_next and model-checked by btgs-analyze.
-    while let Some(i) = claim_next(cursor, order.len() as u64, Ordering::Relaxed) {
-        let idx = order[i as usize];
-        // ord: Acquire — pairs with the island's Release publish so a
-        // skip decision is made against the island's completed status.
-        if batching && meta[idx].next_event.load(Ordering::Acquire) > b_nanos {
-            continue;
-        }
-        let mut island = cells[idx]
-            .lock()
-            .expect("island workers do not panic while holding the lock");
-        island.run_until(b, island_handle::<I>);
-        let (ne, hf, staged) = island_status_after_run::<I>(&mut island, b);
-        drop(island);
-        meta[idx].publish(ne, hf, staged);
-    }
-}
-
-/// The sequential engine: the parallel algorithm minus every lock, atomic
-/// and barrier — identical boundary sequence, claim rule and injection
-/// order, so its reports are byte-identical to any parallel run by
-/// construction.
+/// The island engine: rounds of "pick the next boundary, run the islands
+/// with an event due by it (all of them with batching off) in visit
+/// order, collect the staged relays into the pool, inject the relays due
+/// at the boundary" until the horizon.
 #[allow(clippy::too_many_arguments)]
-fn run_phases_seq<const I: bool>(
+fn run_phases<const I: bool>(
     islands: &mut [IslandSim],
     order: &[usize],
     groups: &[SyncPoint],
@@ -1291,10 +1114,9 @@ fn run_phases_seq<const I: bool>(
         counters.phases_run += 1;
         let stretched = mode.widening && earliest_calendar_start(t, groups) < b;
         counters.widening_stretches += u64::from(stretched);
-        // The claim rule (`next_event <= b`) reads the same published
-        // values the loop below skips on, so `active` equals the number
-        // of islands actually run — the identical accounting the parallel
-        // engine derives from the island meta.
+        // The claim rule (`next_event <= b`) reads the same values the
+        // loop below skips on, so `active` equals the number of islands
+        // actually run.
         let active = if mode.batching {
             order.iter().filter(|&&idx| next_event[idx] <= b).count()
         } else {
@@ -1381,224 +1203,6 @@ fn run_phases_seq<const I: bool>(
     counters
 }
 
-/// The parallel engine: `threads` participants (the coordinator included)
-/// claim islands off a shared cursor each round; island status is
-/// published through per-island atomics so the coordinator's boundary,
-/// claim and collect decisions never take an idle island's lock. Rounds
-/// with at most [`SOLO_ROUND_MAX`] active islands are run by the
-/// coordinator alone — the workers stay parked at the barrier and the
-/// round costs zero crossings.
-#[allow(clippy::too_many_arguments)]
-fn run_phases_par<const I: bool>(
-    cells: &[Mutex<IslandSim>],
-    order: &[usize],
-    groups: &[SyncPoint],
-    checkpoint: SimTime,
-    horizon: SimTime,
-    probe: &mut dyn FnMut(),
-    threads: usize,
-    mode: EngineMode,
-    ctl: &mut EngineCtl<'_>,
-) -> EngineCounters {
-    let n = cells.len();
-    let mut counters = EngineCounters::default();
-    let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
-    let meta: Vec<IslandMeta> = cells
-        .iter()
-        .map(|cell| {
-            let mut island = cell.lock().expect("no poisoned islands");
-            let (ne, hf, _) = island_status(&mut island);
-            IslandMeta {
-                next_event: AtomicU64::new(nanos_of(ne)),
-                hot_from: AtomicU64::new(nanos_of(hf)),
-                staged: AtomicU64::new(0),
-            }
-        })
-        .collect();
-    let barrier = SpinBarrier::new(threads);
-    let cursor = AtomicU64::new(0);
-    let bound = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            let (barrier, cursor, bound, stop) = (&barrier, &cursor, &bound, &stop);
-            let meta = &meta;
-            scope.spawn(move || loop {
-                barrier.wait();
-                // ord: Acquire — pairs with the coordinator's Release
-                // store before its barrier crossing; the crossing itself
-                // already orders it, the explicit pair keeps the flag
-                // self-contained.
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                // ord: Acquire — pairs with the coordinator's Release
-                // publish of the round bound (same reasoning as `stop`).
-                let b = time_of(bound.load(Ordering::Acquire));
-                claim_islands::<I>(cells, meta, order, cursor, b, mode.batching);
-                barrier.wait();
-            });
-        }
-
-        let mut t = SimTime::ZERO;
-        let mut probed = false;
-        loop {
-            let pool_min = pool.last().map(|p| p.at);
-            let blind = ctl.hot_blind();
-            let hot_of = |i: usize| {
-                if blind {
-                    SimTime::MAX
-                } else {
-                    // ord: Acquire — pairs with the islands' Release
-                    // publish; the inter-round barrier crossing already
-                    // ordered it.
-                    time_of(meta[i].hot_from.load(Ordering::Acquire))
-                }
-            };
-            let mut b = next_boundary(
-                t,
-                checkpoint,
-                probed,
-                horizon,
-                pool_min,
-                groups,
-                mode.widening,
-                hot_of,
-            );
-            if ctl.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
-                b = next_boundary(
-                    b,
-                    checkpoint,
-                    probed,
-                    horizon,
-                    pool_min,
-                    groups,
-                    mode.widening,
-                    hot_of,
-                );
-            }
-            counters.phases_run += 1;
-            let stretched = mode.widening && earliest_calendar_start(t, groups) < b;
-            counters.widening_stretches += u64::from(stretched);
-            let b_nanos = nanos_of(b);
-            let active = if mode.batching {
-                order
-                    .iter()
-                    // ord: Acquire — pairs with the islands' Release
-                    // publish (ordered since the last barrier crossing).
-                    .filter(|&&idx| meta[idx].next_event.load(Ordering::Acquire) <= b_nanos)
-                    .count()
-            } else {
-                order.len()
-            };
-            counters.islands_claimed += active as u64;
-            counters.islands_skipped_idle += (order.len() - active) as u64;
-            if mode.batching && active <= SOLO_ROUND_MAX {
-                // Coordinator-solo round: cheaper than two barrier
-                // crossings when almost everything is idle.
-                for &idx in order {
-                    // ord: Acquire — same publish pairing as the `active`
-                    // count above; coordinator-solo rounds take no lock on
-                    // skipped islands.
-                    if meta[idx].next_event.load(Ordering::Acquire) > b_nanos {
-                        continue;
-                    }
-                    let mut island = cells[idx].lock().expect("no poisoned islands");
-                    island.run_until(b, island_handle::<I>);
-                    let (ne, hf, did_stage) = island_status_after_run::<I>(&mut island, b);
-                    drop(island);
-                    meta[idx].publish(ne, hf, did_stage);
-                }
-            } else {
-                counters.barrier_rounds += 1;
-                // ord: Release on both — published to the workers across
-                // the barrier crossing below; the crossing's
-                // Acquire/Release pair is what actually carries them, the
-                // explicit Release keeps each store individually sound.
-                bound.store(b_nanos, Ordering::Release);
-                cursor.store(0, Ordering::Release); // ord: see above
-                barrier.wait();
-                claim_islands::<I>(cells, &meta, order, &cursor, b, mode.batching);
-                barrier.wait();
-            }
-            for (idx, m) in meta.iter().enumerate() {
-                // ord: Acquire/Relaxed via StagedOrderings::SOUND — the
-                // test-and-clear protocol justified in
-                // sync_protocol::collect_staged and model-checked by the
-                // btgs-analyze staged-publish scenario.
-                if mode.batching && !collect_staged(&m.staged, &StagedOrderings::SOUND) {
-                    continue;
-                }
-                let mut island = cells[idx].lock().expect("no poisoned islands");
-                counters.relays_staged += collect_island(island.state_mut(), &mut pool, b, ctl);
-            }
-            sort_pool(&mut pool, ctl.unsorted());
-            ctl.corrupt_pool(&mut pool);
-            ctl.on_phase(
-                t,
-                b,
-                active as u64,
-                (order.len() - active) as u64,
-                pool.len(),
-                stretched,
-            );
-            if !probed && b >= checkpoint {
-                probe();
-                probed = true;
-            }
-            t = b;
-            if let Some(h) = ctl.release_due(t) {
-                pool.push(h);
-                sort_pool(&mut pool, ctl.unsorted());
-            }
-            let mut due = false;
-            while pool.last().is_some_and(|p| p.at <= t) {
-                let p = pool.pop().expect("just peeked");
-                let Some(p) = ctl.intercept(p) else {
-                    continue;
-                };
-                let idx = p.relay.pic as usize;
-                let mut island = cells[idx].lock().expect("no poisoned islands");
-                let proceed = !I || {
-                    let now = island.split_mut().0.now();
-                    ctl.check_injection(
-                        (p.at, p.source, p.seq),
-                        (p.relay.pic, p.relay.flow_idx),
-                        now,
-                    )
-                };
-                if proceed {
-                    inject_relay::<I>(&mut island, &p.relay);
-                    counters.relays_injected += 1;
-                    ctl.on_injected(t, p.relay.pic, p.seq);
-                }
-                drop(island);
-                // ord: Acquire/Release — coordinator-only read-modify of
-                // the island's published status between rounds; the next
-                // barrier crossing republishes it to the workers.
-                let ne = meta[idx].next_event.load(Ordering::Acquire);
-                meta[idx]
-                    .next_event
-                    .store(ne.min(nanos_of(t)), Ordering::Release); // ord: see above
-                meta[idx].hot_from.store(0, Ordering::Release); // ord: see above
-                due = true;
-            }
-            if (t >= horizon && !due) || ctl.tripped() {
-                break;
-            }
-        }
-        probe();
-        ctl.note_leftovers(&pool);
-
-        // ord: Release — carried to the workers by the final barrier
-        // crossing; they read it with Acquire right after.
-        stop.store(true, Ordering::Release);
-        barrier.wait();
-    });
-    counters
-}
-
 /// Measurements of one cross-piconet chain.
 #[derive(Clone, Debug)]
 pub struct ChainReport {
@@ -1629,16 +1233,14 @@ pub struct ScatternetReport {
     /// Per-chain end-to-end measurements.
     pub chains: Vec<ChainReport>,
     /// Total events processed across all island engines. Identical across
-    /// thread counts and engine toggles — the same events fire either way.
+    /// island visit orders and engine toggles — the same events fire
+    /// either way.
     pub events_processed: u64,
     /// Boundary rounds the phased loop stepped through. Engine
     /// observability, excluded from cross-configuration byte-identity
     /// digests the way `events_processed` is (so are the three counters
     /// below).
     pub phases_run: u64,
-    /// Rounds dispatched through the worker barrier (two crossings each);
-    /// zero for single-threaded runs and coordinator-solo rounds.
-    pub barrier_rounds: u64,
     /// Islands actually claimed and run, summed over all rounds —
     /// idle-island skipping makes this far less than
     /// `phases_run × piconets`.
@@ -1693,7 +1295,6 @@ pub struct ScatternetSim {
     /// a bridge-crossing route, grouped by coincident `(phase, cycle)`
     /// with the source islands that can feed it.
     sync_points: Vec<SyncPoint>,
-    threads: usize,
     shuffle_seed: Option<u64>,
     widening: bool,
     batching: bool,
@@ -1985,21 +1586,11 @@ impl ScatternetSim {
             relay_fed,
             chain_hops,
             sync_points,
-            threads: 1,
             shuffle_seed: None,
             widening: true,
             batching: true,
             mutation: None,
         })
-    }
-
-    /// Sets the number of threads advancing islands in parallel (builder
-    /// style). Clamped to at least 1 and at most the piconet count at run
-    /// time; reports are byte-identical across thread counts.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> ScatternetSim {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Permutes the island visit order with a deterministic
@@ -2025,10 +1616,8 @@ impl ScatternetSim {
 
     /// Enables or disables phase batching and idle-island skipping
     /// (builder style; default on). When on, an island with no event due
-    /// by the boundary is never claimed, locked or drained, and
-    /// small-active-set rounds run on the coordinator without barrier
-    /// crossings; when off, every island runs every round. Reports are
-    /// byte-identical either way.
+    /// by the boundary is neither run nor drained; when off, every island
+    /// runs every round. Reports are byte-identical either way.
     #[must_use]
     pub fn with_phase_batching(mut self, batching: bool) -> ScatternetSim {
         self.batching = batching;
@@ -2088,8 +1677,7 @@ impl ScatternetSim {
     /// assembly) — the same bracketing hook as
     /// [`PiconetSim::run_probed`](crate::PiconetSim::run_probed), used by
     /// the zero-allocation gate. The probe always fires at a phase
-    /// boundary, with every island at the same instant and no worker
-    /// holding a lock.
+    /// boundary, with every island at the same instant.
     ///
     /// # Errors
     ///
@@ -2108,11 +1696,11 @@ impl ScatternetSim {
 
     /// Runs to `horizon` with the observability layer enabled: a
     /// deterministic structured trace (fixed-capacity per-track ring
-    /// buffers, sim-time keyed — byte-identical across thread counts and
-    /// claim orders) plus the pre-registered engine telemetry
-    /// ([`TelemetryReport`]). Plain [`run`](ScatternetSim::run) compiles
-    /// all of it out through the same const-generic seam as the
-    /// sanitizer.
+    /// buffers, sim-time keyed — byte-identical across island visit
+    /// orders) plus the pre-registered engine telemetry
+    /// ([`TelemetryReport`](crate::TelemetryReport)). Plain
+    /// [`run`](ScatternetSim::run) compiles all of it out through the
+    /// same const-generic seam as the sanitizer.
     ///
     /// # Errors
     ///
@@ -2220,8 +1808,8 @@ impl ScatternetSim {
     /// The shared run loop behind [`run_probed`](ScatternetSim::run_probed)
     /// (uninstrumented), [`run_sanitized`](ScatternetSim::run_sanitized)
     /// and [`run_traced`](ScatternetSim::run_traced): seeds the islands,
-    /// dispatches the sequential or parallel engine (instrumented
-    /// monomorphisation only when sanitizing or tracing), and assembles
+    /// runs the phase loop (instrumented monomorphisation only when
+    /// sanitizing, tracing or observing), and assembles
     /// the report plus whatever instrumentation output was requested.
     fn run_inner(
         mut self,
@@ -2264,7 +1852,7 @@ impl ScatternetSim {
             None => (None, Vec::new()),
         };
         let instrumented = sanitize || trace.is_some() || obs_cfg.is_some();
-        let tripped = Arc::new(AtomicBool::new(false));
+        let tripped = Rc::new(Cell::new(false));
         if instrumented {
             // An empty meter vector yields `None` for every island.
             let mut meters = obs_meters.into_iter();
@@ -2275,7 +1863,7 @@ impl ScatternetSim {
                     .map(|cfg| IslandObs::new(st.pic, cfg, meters.next()));
                 st.probe = Some(Box::new(IslandProbe::new(
                     st.pic,
-                    Arc::clone(&tripped),
+                    Rc::clone(&tripped),
                     sanitize,
                     trace.as_ref(),
                     island_obs,
@@ -2283,7 +1871,7 @@ impl ScatternetSim {
             }
         }
         let mut coord_obs = obs_cfg.as_ref().map(CoordObs::new);
-        let mut san = sanitize.then(|| EngineSanitizer::new(Arc::clone(&tripped)));
+        let mut san = sanitize.then(|| EngineSanitizer::new(Rc::clone(&tripped)));
         let mut muts = self.mutation.map(MutationState::new);
         let mut ctl = EngineCtl {
             san: san.as_mut(),
@@ -2300,79 +1888,33 @@ impl ScatternetSim {
                 order.swap(i, rng.below(i as u64 + 1) as usize);
             }
         }
-        // Workers beyond the host's cores cannot run concurrently — they
-        // only add barrier crossings and scheduler churn. Clamp to the
-        // available parallelism, with a floor of two so a parallel run
-        // still exercises the parallel engine on a single-core host.
-        // Reports are thread-count-invariant, so the clamp never shows in
-        // results, only in wall time.
-        let hw = std::thread::available_parallelism().map_or(usize::MAX, |c| c.get());
-        let threads = self.threads.min(order.len()).min(hw.max(2)).max(1);
         let mode = EngineMode {
             widening: self.widening,
             batching: self.batching,
         };
-
-        let (islands, counters) = if threads == 1 {
-            // Single-threaded: the same algorithm without locks, atomics
-            // or barriers.
-            let mut islands = self.islands;
-            let counters = if instrumented {
-                run_phases_seq::<true>(
-                    &mut islands,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    mode,
-                    &mut ctl,
-                )
-            } else {
-                run_phases_seq::<false>(
-                    &mut islands,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    mode,
-                    &mut ctl,
-                )
-            };
-            (islands, counters)
+        let mut islands = self.islands;
+        let counters = if instrumented {
+            run_phases::<true>(
+                &mut islands,
+                &order,
+                &self.sync_points,
+                checkpoint,
+                horizon,
+                probe,
+                mode,
+                &mut ctl,
+            )
         } else {
-            let cells: Vec<Mutex<IslandSim>> = self.islands.into_iter().map(Mutex::new).collect();
-            let counters = if instrumented {
-                run_phases_par::<true>(
-                    &cells,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    threads,
-                    mode,
-                    &mut ctl,
-                )
-            } else {
-                run_phases_par::<false>(
-                    &cells,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    threads,
-                    mode,
-                    &mut ctl,
-                )
-            };
-            let islands = cells
-                .into_iter()
-                .map(|c| c.into_inner().expect("no poisoned islands"))
-                .collect();
-            (islands, counters)
+            run_phases::<false>(
+                &mut islands,
+                &order,
+                &self.sync_points,
+                checkpoint,
+                horizon,
+                probe,
+                mode,
+                &mut ctl,
+            )
         };
 
         let mut chains: Vec<ChainReport> = self
@@ -2386,7 +1928,6 @@ impl ScatternetSim {
                 residence: DelayStats::new(),
             })
             .collect();
-        let islands: Vec<IslandSim> = islands;
         let mut piconets = Vec::with_capacity(islands.len());
         let mut probes: Vec<IslandProbe> =
             Vec::with_capacity(if instrumented { piconets.capacity() } else { 0 });
@@ -2412,7 +1953,6 @@ impl ScatternetSim {
             chains,
             events_processed,
             phases_run: counters.phases_run,
-            barrier_rounds: counters.barrier_rounds,
             islands_claimed: counters.islands_claimed,
             relays_staged: counters.relays_staged,
             widening_stretches: counters.widening_stretches,
@@ -2434,9 +1974,7 @@ impl ScatternetSim {
                 .collect();
             crate::telemetry::assemble(coord, island_obs, &counters, &report)
         });
-        // ord: Relaxed — every engine participant has joined or unlocked
-        // by now; this is a post-run summary read.
-        let halted = sanitize && tripped.load(Ordering::Relaxed);
+        let halted = sanitize && tripped.get();
         Ok(RunInnerOutput {
             report: if halted { None } else { Some(report) },
             sanitizer,
@@ -2652,36 +2190,5 @@ mod tests {
             |_| SimTime::MAX,
         );
         assert_eq!(fixed, at_ms(3));
-    }
-
-    #[test]
-    fn spin_barrier_survives_oversubscription() {
-        // More waiters than the host has cores: every thread must still
-        // clear every round (the backoff path keeps starved waiters from
-        // spinning the releaser off the CPU).
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let n = 4 * cores + 1;
-        let rounds = 40;
-        let barrier = std::sync::Arc::new(SpinBarrier::new(n));
-        let hits = std::sync::Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..n)
-            .map(|_| {
-                let barrier = std::sync::Arc::clone(&barrier);
-                let hits = std::sync::Arc::clone(&hits);
-                std::thread::spawn(move || {
-                    for _ in 0..rounds {
-                        // ord: Relaxed — a test tally; the final read is
-                        // ordered by the joins below.
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("barrier waiter panicked");
-        }
-        // ord: Relaxed — all writers joined above.
-        assert_eq!(hits.load(Ordering::Relaxed), (n * rounds) as u64);
     }
 }

@@ -10,8 +10,8 @@
 //!   claims, relay stage/inject, widening and idle-skip decisions, and
 //!   (optionally) every island event. Records are keyed by *sim-time*
 //!   and a per-sink deterministic sequence — never wall time — so a
-//!   merged [`EngineTrace`] is byte-identical across thread counts,
-//!   claim orders and engine toggles. Export to Chrome/Perfetto JSON
+//!   merged [`EngineTrace`] is byte-identical across island visit
+//!   orders and engine toggles. Export to Chrome/Perfetto JSON
 //!   lives in the `btgs-obs` harness crate.
 //!
 //! * **engine telemetry** — a pre-registered, zero-allocation registry
@@ -224,9 +224,8 @@ impl Default for ObsConfig {
 /// A per-event cost meter: `begin` is called before each island event's
 /// handler, `end` after it with the event-kind tag (index into
 /// [`EVENT_KIND_NAMES`]). Implementations live in the harness crates —
-/// that is where wall-clock reads are allowed — and travel into worker
-/// threads, hence `Send`.
-pub trait EventMeter: Send {
+/// that is where wall-clock reads are allowed.
+pub trait EventMeter {
     /// Called immediately before an event handler runs.
     fn begin(&mut self);
     /// Called after the handler returned, with the event's kind tag.
@@ -237,8 +236,8 @@ pub trait EventMeter: Send {
 }
 
 /// The merged structured trace of an observed run: records sorted by
-/// `(start_ns, track, seq)` — a total order independent of thread
-/// count and claim order — plus the global overflow count.
+/// `(start_ns, track, seq)` — a total order independent of the island
+/// visit order — plus the global overflow count.
 #[derive(Debug, Default)]
 pub struct EngineTrace {
     /// All records, in the deterministic merged order.
@@ -259,8 +258,6 @@ pub struct TelemetryReport {
     pub events_processed: u64,
     /// Coordinator phases run.
     pub phases_run: u64,
-    /// Barrier round-trips (parallel engine only).
-    pub barrier_rounds: u64,
     /// Island claims executed.
     pub islands_claimed: u64,
     /// Cross-island relays staged.
@@ -300,7 +297,6 @@ impl TelemetryReport {
     pub fn merge(&mut self, other: &TelemetryReport) {
         self.events_processed += other.events_processed;
         self.phases_run += other.phases_run;
-        self.barrier_rounds += other.barrier_rounds;
         self.islands_claimed += other.islands_claimed;
         self.relays_staged += other.relays_staged;
         self.relays_injected += other.relays_injected;
@@ -337,9 +333,8 @@ pub struct ObservedRun {
 }
 
 /// Per-island observability state, owned by the island's probe and
-/// driven from behind the `I` seam. Each island writes its own sink:
-/// no cross-thread sharing, so parallel claims cannot interleave
-/// records.
+/// driven from behind the `I` seam. Each island writes its own sink, so
+/// the visit order cannot interleave records.
 pub(crate) struct IslandObs {
     sink: TraceSink,
     fine: bool,
@@ -425,9 +420,8 @@ impl IslandObs {
 }
 
 /// Coordinator-side observability state: phase spans, injections and
-/// the engine-shape histograms. Only ever touched by the coordinating
-/// thread (between barrier rounds in the parallel engine), so its
-/// record order is thread-count-invariant.
+/// the engine-shape histograms. Only ever touched by the round loop
+/// between rounds, so its record order is visit-order-invariant.
 pub(crate) struct CoordObs {
     sink: TraceSink,
     phase_width_ns: Histo32,
@@ -504,7 +498,6 @@ pub(crate) fn assemble(
     let mut telemetry = TelemetryReport {
         events_processed: report.events_processed,
         phases_run: counters.phases_run,
-        barrier_rounds: counters.barrier_rounds,
         islands_claimed: counters.islands_claimed,
         relays_staged: counters.relays_staged,
         relays_injected: counters.relays_injected,

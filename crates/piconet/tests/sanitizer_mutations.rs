@@ -6,8 +6,8 @@
 //! expected check on at least one corpus scenario, and (b) *localized* by
 //! the bisector to a first diverging event against the clean engine on
 //! that same scenario. The clean engine must produce zero findings across
-//! every corpus topology (chain, ring, mesh) at 1, 2 and 4 threads, and
-//! attaching the sanitizer must not move a single report byte — the
+//! every corpus topology (chain, ring, mesh), and attaching the sanitizer
+//! must not move a single report byte — the
 //! instrumentation observes the simulation, never steers it.
 //!
 //! The corpus scenarios come from [`btgs_core::sanitizer_corpus`], the
@@ -20,9 +20,8 @@ use btgs_piconet::{bisect_runs, EngineMutation, SanitizerCheck, ScatternetSim};
 
 /// The engine-observability counters excluded from byte-identity, exactly
 /// as in `tests/parallel_equivalence.rs`.
-const ENGINE_COUNTERS: [&str; 7] = [
+const ENGINE_COUNTERS: [&str; 6] = [
     "phases_run",
-    "barrier_rounds",
     "islands_claimed",
     "relays_staged",
     "widening_stretches",
@@ -32,11 +31,10 @@ const ENGINE_COUNTERS: [&str; 7] = [
 
 const HORIZON: SimTime = SimTime::from_millis(1500);
 
-fn build_sim(params: ScatternetScenarioParams, threads: usize) -> ScatternetSim {
+fn build_sim(params: ScatternetScenarioParams) -> ScatternetSim {
     ScatternetScenario::build(params)
         .simulator(PollerKind::PfpGs)
         .expect("corpus scenario builds")
-        .with_threads(threads)
 }
 
 fn digest(report: &btgs_piconet::ScatternetReport) -> String {
@@ -62,49 +60,46 @@ fn expected_check(m: EngineMutation) -> SanitizerCheck {
 #[test]
 fn clean_engine_has_zero_findings_across_corpus() {
     for (label, params) in sanitizer_corpus() {
-        for threads in [1usize, 2, 4] {
-            let run = build_sim(params, threads)
-                .run_sanitized(HORIZON)
-                .expect("clean corpus run succeeds");
-            assert!(
-                run.sanitizer.clean(),
-                "{label} at {threads} threads: clean engine produced findings:\n{:#?}",
-                run.sanitizer.findings
-            );
-            assert!(
-                run.report.is_some(),
-                "{label} at {threads} threads: clean sanitized run must keep its report"
-            );
-            assert!(
-                run.sanitizer.events_checked > 0,
-                "{label}: sanitizer observed no events — the probe seam is dead"
-            );
-            assert!(
-                run.sanitizer.relays_tracked > 0,
-                "{label}: sanitizer tracked no relays — corpus traffic never bridges"
-            );
-            // Conservation, now confirmable from the report alone: every
-            // staged relay was injected or is still pooled at the horizon.
-            let report = run.report.as_ref().expect("checked above");
-            assert!(
-                report.relays_injected <= report.relays_staged,
-                "{label}: more relays injected than staged"
-            );
-            assert_eq!(
-                report.relays_staged,
-                report.relays_injected + run.sanitizer.relays_leftover,
-                "{label} at {threads} threads: staged relays neither injected \
-                 nor pooled at the horizon"
-            );
-        }
+        let run = build_sim(params)
+            .run_sanitized(HORIZON)
+            .expect("clean corpus run succeeds");
+        assert!(
+            run.sanitizer.clean(),
+            "{label}: clean engine produced findings:\n{:#?}",
+            run.sanitizer.findings
+        );
+        assert!(
+            run.report.is_some(),
+            "{label}: clean sanitized run must keep its report"
+        );
+        assert!(
+            run.sanitizer.events_checked > 0,
+            "{label}: sanitizer observed no events — the probe seam is dead"
+        );
+        assert!(
+            run.sanitizer.relays_tracked > 0,
+            "{label}: sanitizer tracked no relays — corpus traffic never bridges"
+        );
+        // Conservation, now confirmable from the report alone: every
+        // staged relay was injected or is still pooled at the horizon.
+        let report = run.report.as_ref().expect("checked above");
+        assert!(
+            report.relays_injected <= report.relays_staged,
+            "{label}: more relays injected than staged"
+        );
+        assert_eq!(
+            report.relays_staged,
+            report.relays_injected + run.sanitizer.relays_leftover,
+            "{label}: staged relays neither injected nor pooled at the horizon"
+        );
     }
 }
 
 #[test]
 fn sanitizer_leaves_report_bytes_unchanged() {
     for (label, params) in sanitizer_corpus() {
-        let plain = build_sim(params, 2).run(HORIZON).expect("plain run");
-        let sanitized = build_sim(params, 2)
+        let plain = build_sim(params).run(HORIZON).expect("plain run");
+        let sanitized = build_sim(params)
             .run_sanitized(HORIZON)
             .expect("sanitized run");
         assert_eq!(
@@ -121,7 +116,7 @@ fn every_mutation_is_caught_and_bisector_localized() {
         let want = expected_check(mutation);
         let mut caught_on: Option<&'static str> = None;
         for (label, params) in sanitizer_corpus() {
-            let run = build_sim(params, 1)
+            let run = build_sim(params)
                 .with_mutation(mutation)
                 .run_sanitized(HORIZON)
                 .expect("mutated corpus run completes");
@@ -143,8 +138,8 @@ fn every_mutation_is_caught_and_bisector_localized() {
             // sanitizer attached: clean vs mutated traces diverge at a
             // concrete first event.
             let bisect = bisect_runs(
-                &|| build_sim(params, 1),
-                &|| build_sim(params, 1).with_mutation(mutation),
+                &|| build_sim(params),
+                &|| build_sim(params).with_mutation(mutation),
                 HORIZON,
                 8,
             )
@@ -174,24 +169,4 @@ fn every_mutation_is_caught_and_bisector_localized() {
             mutation.name()
         );
     }
-}
-
-#[test]
-fn mutations_are_caught_under_parallel_execution_too() {
-    // The drop mutation exercises the coordinator's pooled-drain path in
-    // both engines; catching it at 4 threads proves the sanitizer seam
-    // rides through `run_phases_par`, not just the sequential loop.
-    let (_, params) = sanitizer_corpus()[0];
-    let run = build_sim(params, 4)
-        .with_mutation(EngineMutation::DroppedRelay)
-        .run_sanitized(HORIZON)
-        .expect("mutated parallel run completes");
-    assert!(
-        run.sanitizer
-            .findings
-            .iter()
-            .any(|f| f.check == SanitizerCheck::Conservation),
-        "parallel drop not caught: {:#?}",
-        run.sanitizer.findings
-    );
 }

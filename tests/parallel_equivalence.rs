@@ -1,22 +1,24 @@
-//! Differential end-to-end test for the parallel island engine.
+//! Differential end-to-end test for the island engine's serial order
+//! and engine toggles.
 //!
-//! The scatternet simulator advances each piconet island independently to
+//! The scatternet simulator advances each piconet island in turn to
 //! conservative phase boundaries derived from the bridge rendezvous
-//! schedule; `with_threads(n)` only changes *which OS thread* runs an
-//! island between two barriers, never the order in which staged relay
-//! handoffs are injected, and the adaptive-widening / phase-batching
-//! toggles only change *how many* rounds the engine steps through, never
-//! what each island observes. The contract: the full
-//! [`ScatternetReport`] — every delay sample, ledger cell, counter and
-//! the event count — is byte-identical across thread counts, topologies
-//! (mesh included), pollers, seeds, a deterministically shuffled island
-//! claim order, and all four widening × batching combinations. Only the
-//! engine-observability counters (`phases_run`, `barrier_rounds`,
-//! `islands_claimed`, `relays_staged`, `relays_injected`,
-//! `widening_stretches`, `islands_skipped_idle`) are excluded: they
-//! describe the execution, not the simulation.
+//! schedule. The island visit order ([`ScatternetSim::with_island_shuffle`])
+//! never changes the order in which staged relay handoffs are injected,
+//! and the adaptive-widening / phase-batching toggles only change *how
+//! many* rounds the engine steps through, never what each island
+//! observes. The contract: the full [`ScatternetReport`] — every delay
+//! sample, ledger cell, counter and the event count — is byte-identical
+//! across topologies (mesh included), pollers, seeds, deterministically
+//! shuffled island visit orders, all four widening × batching
+//! combinations, and with the tracing layer switched on. Only the
+//! engine-observability counters (`phases_run`, `islands_claimed`,
+//! `relays_staged`, `relays_injected`, `widening_stretches`,
+//! `islands_skipped_idle`) are excluded: they describe the execution,
+//! not the simulation.
 //!
 //! [`ScatternetReport`]: btgs::piconet::ScatternetReport
+//! [`ScatternetSim::with_island_shuffle`]: btgs::piconet::ScatternetSim::with_island_shuffle
 
 use btgs::core::{PollerKind, ScatternetScenario, ScatternetScenarioParams};
 use btgs::des::{SimDuration, SimTime};
@@ -24,9 +26,8 @@ use btgs::des::{SimDuration, SimTime};
 /// The engine-observability counter fields excluded from byte-identity
 /// (`events_processed` stays in: the same events fire in every
 /// configuration).
-const ENGINE_COUNTERS: [&str; 7] = [
+const ENGINE_COUNTERS: [&str; 6] = [
     "phases_run",
-    "barrier_rounds",
     "islands_claimed",
     "relays_staged",
     "widening_stretches",
@@ -36,21 +37,17 @@ const ENGINE_COUNTERS: [&str; 7] = [
 
 #[derive(Clone, Copy)]
 struct EngineKnobs {
-    threads: usize,
     shuffle: Option<u64>,
     widening: bool,
     batching: bool,
 }
 
 impl EngineKnobs {
-    fn default_engine(threads: usize) -> EngineKnobs {
-        EngineKnobs {
-            threads,
-            shuffle: None,
-            widening: true,
-            batching: true,
-        }
-    }
+    const DEFAULT: EngineKnobs = EngineKnobs {
+        shuffle: None,
+        widening: true,
+        batching: true,
+    };
 }
 
 fn digest(
@@ -63,7 +60,6 @@ fn digest(
     let mut sim = scenario
         .simulator(kind)
         .expect("scenario builds")
-        .with_threads(knobs.threads)
         .with_phase_widening(knobs.widening)
         .with_phase_batching(knobs.batching);
     if let Some(seed) = knobs.shuffle {
@@ -91,71 +87,32 @@ fn params_for(topology: &str, seed: u64) -> ScatternetScenarioParams {
 }
 
 #[test]
-fn parallel_reports_are_byte_identical_across_thread_counts() {
-    let horizon = SimTime::from_secs(2);
-    // Both pollers across every topology at seed 1, plus a second seed on
-    // the densest chain — enough coverage without tripling tier-1 time.
-    let mut cases: Vec<(PollerKind, &str, u64)> = Vec::new();
-    for kind in [PollerKind::PfpGs, PollerKind::FixedGs] {
-        for topology in ["chain", "ring", "tree", "mesh"] {
-            cases.push((kind, topology, 1));
-        }
-    }
-    cases.push((PollerKind::PfpGs, "chain", 23));
-    for (kind, topology, seed) in cases {
-        let base = digest(
-            params_for(topology, seed),
-            kind,
-            EngineKnobs::default_engine(1),
-            horizon,
-        );
-        for threads in [2usize, 4] {
-            let par = digest(
-                params_for(topology, seed),
-                kind,
-                EngineKnobs::default_engine(threads),
-                horizon,
-            );
-            assert_eq!(
-                base, par,
-                "report diverged ({kind:?}, {topology}, seed {seed}, \
-                 {threads} threads)"
-            );
-        }
-    }
-}
-
-#[test]
 fn widening_and_batching_toggles_are_free_of_observable_effects() {
     // The adaptive engine's whole correctness claim: widened phases and
     // skipped islands change the round structure only. Every widening ×
-    // batching combination at 1, 2 and 4 threads must reproduce the
-    // default report byte for byte — on the mesh too, where skipping and
-    // widening actually trigger.
+    // batching combination must reproduce the default report byte for
+    // byte — on the mesh too, where skipping and widening actually
+    // trigger.
     let horizon = SimTime::from_secs(2);
     for topology in ["chain", "mesh"] {
         let base = digest(
             params_for(topology, 1),
             PollerKind::PfpGs,
-            EngineKnobs::default_engine(1),
+            EngineKnobs::DEFAULT,
             horizon,
         );
         for widening in [true, false] {
             for batching in [true, false] {
-                for threads in [1usize, 2, 4] {
-                    let knobs = EngineKnobs {
-                        threads,
-                        shuffle: None,
-                        widening,
-                        batching,
-                    };
-                    let other = digest(params_for(topology, 1), PollerKind::PfpGs, knobs, horizon);
-                    assert_eq!(
-                        base, other,
-                        "report diverged ({topology}, widening {widening}, \
-                         batching {batching}, {threads} threads)"
-                    );
-                }
+                let knobs = EngineKnobs {
+                    shuffle: None,
+                    widening,
+                    batching,
+                };
+                let other = digest(params_for(topology, 1), PollerKind::PfpGs, knobs, horizon);
+                assert_eq!(
+                    base, other,
+                    "report diverged ({topology}, widening {widening}, batching {batching})"
+                );
             }
         }
     }
@@ -163,28 +120,34 @@ fn widening_and_batching_toggles_are_free_of_observable_effects() {
 
 #[test]
 fn island_claim_order_is_free_of_observable_effects() {
-    // A shuffled claim order maximises cross-thread interleavings; the
-    // staged-relay injection order is sorted, so the report must not
-    // move by a single byte.
+    // The staged-relay injection order is sorted, so the island visit
+    // order must not move the report by a single byte — for both pollers
+    // across every topology at seed 1, plus two more chain seeds.
     let horizon = SimTime::from_secs(2);
-    let base = digest(
-        params_for("chain", 7),
-        PollerKind::PfpGs,
-        EngineKnobs::default_engine(1),
-        horizon,
-    );
-    for shuffle in [3u64, 99] {
-        for threads in [1usize, 2, 4] {
+    let mut cases: Vec<(PollerKind, &str, u64)> = Vec::new();
+    for kind in [PollerKind::PfpGs, PollerKind::FixedGs] {
+        for topology in ["chain", "ring", "tree", "mesh"] {
+            cases.push((kind, topology, 1));
+        }
+    }
+    cases.push((PollerKind::PfpGs, "chain", 7));
+    cases.push((PollerKind::PfpGs, "chain", 23));
+    for (kind, topology, seed) in cases {
+        let base = digest(
+            params_for(topology, seed),
+            kind,
+            EngineKnobs::DEFAULT,
+            horizon,
+        );
+        for shuffle in [3u64, 99] {
             let knobs = EngineKnobs {
-                threads,
                 shuffle: Some(shuffle),
-                widening: true,
-                batching: true,
+                ..EngineKnobs::DEFAULT
             };
-            let shuffled = digest(params_for("chain", 7), PollerKind::PfpGs, knobs, horizon);
+            let shuffled = digest(params_for(topology, seed), kind, knobs, horizon);
             assert_eq!(
                 base, shuffled,
-                "island shuffle {shuffle} with {threads} threads changed the report"
+                "island shuffle {shuffle} changed the report ({kind:?}, {topology}, seed {seed})"
             );
         }
     }
@@ -196,9 +159,9 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
     // trace ring and telemetry registry switched ON: (a) the simulated
     // report must not move by a byte relative to the plain engine, and
     // (b) the exported Perfetto trace itself must be byte-identical
-    // across thread counts and shuffled claim orders — the merged
-    // record order `(start_ns, track, seq)` is a total order derived
-    // from simulated time, never from which OS thread ran an island.
+    // across shuffled island visit orders — the merged record order
+    // `(start_ns, track, seq)` is a total order derived from simulated
+    // time, never from the order the islands ran in.
     use btgs::piconet::ObsConfig;
     use btgs_obs::perfetto_trace_json;
 
@@ -209,7 +172,6 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
         let mut sim = ScatternetScenario::build(params)
             .simulator(PollerKind::PfpGs)
             .expect("scenario builds")
-            .with_threads(knobs.threads)
             .with_phase_widening(knobs.widening)
             .with_phase_batching(knobs.batching);
         if let Some(seed) = knobs.shuffle {
@@ -229,10 +191,10 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
     let plain = digest(
         params_for("chain", 7),
         PollerKind::PfpGs,
-        EngineKnobs::default_engine(1),
+        EngineKnobs::DEFAULT,
         horizon,
     );
-    let (base_report, base_trace) = observed(EngineKnobs::default_engine(1));
+    let (base_report, base_trace) = observed(EngineKnobs::DEFAULT);
     assert_eq!(
         plain, base_report,
         "switching instrumentation on moved the simulated report"
@@ -241,43 +203,28 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
         base_trace.contains("\"traceEvents\""),
         "exporter produced a trace envelope"
     );
-    for threads in [2usize, 4] {
-        let (report, trace) = observed(EngineKnobs::default_engine(threads));
+    for shuffle in [3u64, 99] {
+        let knobs = EngineKnobs {
+            shuffle: Some(shuffle),
+            ..EngineKnobs::DEFAULT
+        };
+        let (report, trace) = observed(knobs);
         assert_eq!(
             plain, report,
-            "observed report diverged at {threads} threads"
+            "observed report diverged (shuffle {shuffle})"
         );
         assert_eq!(
             base_trace, trace,
-            "exported trace diverged at {threads} threads"
+            "exported trace diverged (shuffle {shuffle})"
         );
-    }
-    for shuffle in [3u64, 99] {
-        for threads in [2usize, 4] {
-            let knobs = EngineKnobs {
-                threads,
-                shuffle: Some(shuffle),
-                widening: true,
-                batching: true,
-            };
-            let (report, trace) = observed(knobs);
-            assert_eq!(
-                plain, report,
-                "observed report diverged (shuffle {shuffle}, {threads} threads)"
-            );
-            assert_eq!(
-                base_trace, trace,
-                "exported trace diverged (shuffle {shuffle}, {threads} threads)"
-            );
-        }
     }
 }
 
 #[test]
-fn parallel_longest_chain_still_composes_admitted_bounds() {
+fn longest_chain_still_composes_admitted_bounds() {
     // The admission path (guaranteed hop entities, composed bounds) rides
     // through the same engine: an admitted chain's measured worst case
-    // must stay inside its composed bound under 4 threads too.
+    // must stay inside its composed bound.
     let mut params = ScatternetScenarioParams::chained(3);
     params.delay_requirement = SimDuration::from_millis(46);
     params.bridge_cycle = SimDuration::from_millis(10);
@@ -287,7 +234,6 @@ fn parallel_longest_chain_still_composes_admitted_bounds() {
     let report = scenario
         .simulator(PollerKind::PfpGs)
         .expect("scenario builds")
-        .with_threads(4)
         .run(SimTime::from_secs(3))
         .expect("scenario runs");
     let grant = &scenario.chain_grants[0];
@@ -301,7 +247,7 @@ fn mesh_admitted_chains_compose_bounds_at_scale() {
     // The 64-piconet mesh admission check: every spanning-path chain is
     // admitted atomically against a generous end-to-end deadline, and
     // each one's measured worst case honours its composed bound under the
-    // adaptive parallel engine.
+    // adaptive engine.
     // Degree 2: under the paper's conservative segment accounting
     // (`s = U = 3.75 ms`) a third guaranteed bridge entity would need
     // `x >= 3U = 11.25 ms`, above the presence-compensated poll-interval
@@ -318,7 +264,6 @@ fn mesh_admitted_chains_compose_bounds_at_scale() {
     let report = scenario
         .simulator(PollerKind::PfpGs)
         .expect("scenario builds")
-        .with_threads(4)
         .run(SimTime::from_secs(2))
         .expect("scenario runs");
     let mut delivered_total = 0;

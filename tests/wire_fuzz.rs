@@ -4,10 +4,12 @@
 //! Real frames of each outcome shape (a single piconet, and a scatternet
 //! with engine telemetry) are mutated by a fixed-seed `DetRng`: character
 //! flips that keep the text UTF-8, truncations, and splices with a foreign
-//! frame. Every mutation goes through `FrameReader` and `frame_from_json`,
-//! and mutated checkpoint files are replayed by a `ShardedGridRunner`
-//! whose worker binary does not exist, so nothing is spawned and a cell
-//! the replay rejects surfaces as an `Err`.
+//! frame; and, at the byte level, arbitrary byte flips into the length
+//! prefixes and the payloads that mostly leave the stream invalid UTF-8.
+//! Every mutation goes through `FrameReader` and `frame_from_json`, and
+//! mutated checkpoint files are replayed by a `ShardedGridRunner` whose
+//! worker binary does not exist, so nothing is spawned and a cell the
+//! replay rejects surfaces as an `Err`.
 
 use btgs::core::{BeSourceMix, GridCell, PollerKind, ScenarioGrid, Topology};
 use btgs::des::{DetRng, SimDuration, SimTime};
@@ -22,6 +24,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 const FRAME_MUTATIONS: usize = 300;
 /// Mutated checkpoint files replayed per grid.
 const CHECKPOINT_MUTATIONS: usize = 100;
+/// Byte-flipped framed streams fed to `FrameReader` per stream.
+const BYTE_MUTATIONS: usize = 300;
+/// Byte-flipped checkpoint files replayed per grid.
+const BYTE_CHECKPOINT_MUTATIONS: usize = 100;
 
 fn piconet_grid() -> ScenarioGrid {
     ScenarioGrid {
@@ -129,17 +135,65 @@ fn mutate(rng: &mut DetRng, base: &str, foreign: &str) -> String {
     }
 }
 
+/// One byte-level mutation of a framed stream: 1–4 bytes overwritten
+/// with arbitrary values (half of them ≥ 0x80, so the result is mostly
+/// not UTF-8), each aimed at a frame's length prefix line or anywhere in
+/// the stream with equal odds.
+fn flip_bytes(rng: &mut DetRng, stream: &[u8]) -> Vec<u8> {
+    // Each frame's prefix line: from the frame start up to and including
+    // its newline.
+    let mut prefixes = Vec::new();
+    let mut at = 0;
+    while at < stream.len() {
+        let newline = at + stream[at..].iter().position(|&b| b == b'\n').unwrap();
+        let len: usize = std::str::from_utf8(&stream[at..newline])
+            .unwrap()
+            .parse()
+            .unwrap();
+        prefixes.push(at..=newline);
+        at = newline + 1 + len + 1;
+    }
+    let mut s = stream.to_vec();
+    for _ in 0..rng.range_inclusive(1, 4) {
+        let pos = if rng.chance(0.5) {
+            let prefix = &prefixes[rng.below(prefixes.len() as u64) as usize];
+            prefix.start() + rng.below((prefix.end() - prefix.start() + 1) as u64) as usize
+        } else {
+            rng.below(s.len() as u64) as usize
+        };
+        s[pos] = if rng.chance(0.5) {
+            0x80 | rng.below(0x80) as u8
+        } else {
+            rng.below(0x80) as u8
+        };
+    }
+    s
+}
+
 /// Runs `f` on every mutation, collecting the ones that panicked.
-fn panics_of(mutations: &[String], mut f: impl FnMut(&str)) -> Vec<String> {
+fn panics_of<M: AsRef<[u8]>>(mutations: &[M], mut f: impl FnMut(&M)) -> Vec<String> {
     mutations
         .iter()
         .enumerate()
         .filter_map(|(k, m)| {
-            catch_unwind(AssertUnwindSafe(|| f(m)))
-                .err()
-                .map(|_| format!("mutation {k}: {}", m.chars().take(160).collect::<String>()))
+            catch_unwind(AssertUnwindSafe(|| f(m))).err().map(|_| {
+                let shown = String::from_utf8_lossy(m.as_ref());
+                format!(
+                    "mutation {k}: {}",
+                    shown.chars().take(160).collect::<String>()
+                )
+            })
         })
         .collect()
+}
+
+/// Reads every frame off `bytes` and decodes each payload, ignoring the
+/// outcomes; only a panic is a failure.
+fn read_all(bytes: &[u8]) {
+    let mut reader = FrameReader::new(Cursor::new(bytes));
+    while let Ok(FrameRead::Frame(payload)) = reader.next_frame() {
+        let _ = frame_from_json(&payload);
+    }
 }
 
 fn framed(payloads: &[String]) -> String {
@@ -179,10 +233,7 @@ fn mutated_frames_decode_to_errors_not_panics() {
             .collect();
         failures.extend(panics_of(&mutations, |m| {
             let _ = frame_from_json(m);
-            let mut reader = FrameReader::new(Cursor::new(m.as_bytes()));
-            while let Ok(FrameRead::Frame(payload)) = reader.next_frame() {
-                let _ = frame_from_json(&payload);
-            }
+            read_all(m.as_bytes());
         }));
     }
     assert!(
@@ -231,6 +282,69 @@ fn corrupted_checkpoints_replay_to_errors_not_panics() {
             let _ = runner.run_streaming(&grid, &mut OnlineAggregator::for_grid(&grid));
             // The replay left a well-formed prefix behind: a second
             // replay accepts or rejects the same cells without panicking.
+            let _ = runner.run(&grid);
+        }));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(
+        failures.is_empty(),
+        "replay panics:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn byte_flipped_streams_read_to_errors_not_panics() {
+    let piconet = frames(&piconet_grid()).swap_remove(0);
+    let scatternet = frames(&scatternet_grid()).swap_remove(0);
+    let mut rng = DetRng::seed_from_u64(0xB17E_F0A2);
+    let mut failures = Vec::new();
+    for stream in [
+        framed(&[piconet.clone(), scatternet.clone()]),
+        framed(&[scatternet, piconet]),
+    ] {
+        let mutations: Vec<Vec<u8>> = (0..BYTE_MUTATIONS)
+            .map(|_| flip_bytes(&mut rng, stream.as_bytes()))
+            .collect();
+        assert!(
+            mutations
+                .iter()
+                .filter(|m| std::str::from_utf8(m).is_err())
+                .count()
+                > BYTE_MUTATIONS / 2,
+            "most byte flips leave invalid UTF-8"
+        );
+        failures.extend(panics_of(&mutations, |m| {
+            read_all(m);
+            // The decoder sees the lossy text too: replacement characters
+            // in keys, numbers and strings.
+            let _ = frame_from_json(&String::from_utf8_lossy(m));
+        }));
+    }
+    assert!(
+        failures.is_empty(),
+        "decoder panics:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn byte_flipped_checkpoints_replay_to_errors_not_panics() {
+    let dir = std::env::temp_dir().join(format!("btgs-wire-bytes-{}", std::process::id()));
+    let runner = ShardedGridRunner::new(&dir.join("no-such-worker"), &dir, 1).with_retries(0);
+    let mut rng = DetRng::seed_from_u64(0xB17E_C4EC);
+    let mut failures = Vec::new();
+    std::fs::create_dir_all(&dir).unwrap();
+    for grid in [piconet_grid(), scatternet_grid()] {
+        let shards = GridPartitioner::new().partition(&grid);
+        let path = runner.checkpoint_path(&shards[0]);
+        let clean = framed(&frames(&grid));
+        let mutations: Vec<Vec<u8>> = (0..BYTE_CHECKPOINT_MUTATIONS)
+            .map(|_| flip_bytes(&mut rng, clean.as_bytes()))
+            .collect();
+        failures.extend(panics_of(&mutations, |m| {
+            std::fs::write(&path, m).unwrap();
+            let _ = runner.run_streaming(&grid, &mut OnlineAggregator::for_grid(&grid));
             let _ = runner.run(&grid);
         }));
     }
