@@ -24,7 +24,14 @@
 //! trajectories above double as the regression gate that attaching the
 //! sanitizer costs the production engine nothing.
 //!
+//! The `telemetry` twin runs the same scenario through
+//! [`ScatternetSim::run_with_telemetry`]: the uninstrumented engine with
+//! its per-phase and per-claim histograms on — what a grid cell with
+//! `telemetry: true` pays. Next to `chained3_5s_simulated` it shows what
+//! the histograms cost.
+//!
 //! [`ScatternetSim::run_sanitized`]: btgs_piconet::ScatternetSim::run_sanitized
+//! [`ScatternetSim::run_with_telemetry`]: btgs_piconet::ScatternetSim::run_with_telemetry
 
 use btgs_bench::microbench::{Criterion, Throughput};
 use btgs_bench::{criterion_group, criterion_main};
@@ -99,11 +106,12 @@ fn scatternet_throughput(c: &mut Criterion) {
             ],
         );
     }
-    // The sanitized twin: the chained-3 scenario under the causality
-    // sanitizer. Tracks the instrumentation's own overhead; the default
-    // cases above stay on the compiled-out path.
-    let san_probe = run(3, Topology::Chain);
-    group.throughput(Throughput::Elements(san_probe.events_processed));
+    // The sanitized and telemetry twins: the chained-3 scenario under
+    // the causality sanitizer, and on the plain engine with its telemetry
+    // histograms on. Tracks each one's own overhead; the default cases
+    // above stay on the compiled-out path.
+    let twin_probe = run(3, Topology::Chain);
+    group.throughput(Throughput::Elements(twin_probe.events_processed));
     group.bench_function("chained3_5s_sanitized", |b| {
         b.iter(|| {
             let sanitized = ScatternetScenario::build(params(3, Topology::Chain))
@@ -113,6 +121,19 @@ fn scatternet_throughput(c: &mut Criterion) {
                 .expect("scenario runs");
             assert!(sanitized.sanitizer.clean(), "clean engine tripped");
             black_box(sanitized.sanitizer.events_checked)
+        })
+    });
+    group.bench_function("chained3_5s_telemetry", |b| {
+        b.iter(|| {
+            let (report, telemetry) = ScatternetScenario::build(params(3, Topology::Chain))
+                .simulator(PollerKind::PfpGs)
+                .expect("scenario builds")
+                .run_with_telemetry(SimTime::from_secs(5))
+                .expect("scenario runs");
+            black_box((
+                report.total_throughput_kbps(),
+                telemetry.events_per_claim.count,
+            ))
         })
     });
     group.finish();

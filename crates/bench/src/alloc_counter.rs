@@ -5,9 +5,11 @@
 //! pollers precompute every table they need. This module provides the
 //! proof: install [`CountingAllocator`] as the `#[global_allocator]` of a
 //! test or bench binary, snapshot [`allocation_count`] around the code
-//! under test, and assert the delta is zero.
+//! under test, and assert the delta is zero. [`allocated_bytes`] tallies
+//! the bytes those allocations requested — an exact, wall-clock-free
+//! proxy for what a whole run costs in memory traffic.
 //!
-//! Counting uses a relaxed atomic — the counter is a diagnostic, not a
+//! Counting uses relaxed atomics — the counter is a diagnostic, not a
 //! synchronisation point — and adds a handful of nanoseconds per
 //! allocation, which is irrelevant for the zero-allocation windows it
 //! exists to certify.
@@ -21,6 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-delegating allocator that counts every allocation.
@@ -52,6 +55,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // ord: Relaxed — a statistical tally; the zero-alloc assertions
         // read it from the same thread that allocated.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // ord: Relaxed — same tally as above, in bytes.
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -62,16 +67,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A realloc may move the block: count it as an allocation event —
-        // the steady state must not grow *any* buffer.
+        // A realloc may move the block: count it as an allocation event of
+        // its full new size — the steady state must not grow *any* buffer.
         // ord: Relaxed — same tally as above.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // ord: Relaxed — same tally as above, in bytes.
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         // ord: Relaxed — same tally as above.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // ord: Relaxed — same tally as above, in bytes.
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -82,6 +91,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 pub fn allocation_count() -> u64 {
     // ord: Relaxed — the assertion brackets run on the allocating thread.
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by the allocation events [`allocation_count`]
+/// counts (a realloc counts its full new size) since process start. Only
+/// meaningful when [`CountingAllocator`] is installed as the global
+/// allocator.
+pub fn allocated_bytes() -> u64 {
+    // ord: Relaxed — same single-thread bracket read as above.
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 /// Heap deallocation events since process start.

@@ -1,12 +1,17 @@
 //! CI enforcement of the allocation-free hot paths (ROADMAP item).
 //!
 //! Installs the counting global allocator and asserts a **zero** allocation
-//! delta across three hot loops:
+//! delta across the hot loops:
 //!
 //! 1. every poller's per-decision path,
 //! 2. the DES engine's event loop (timing-wheel push/pop cycle),
 //! 3. the full piconet simulator's steady state, bracketed inside a run
-//!    via [`PiconetSim::run_probed`] after warm-up growth has settled.
+//!    via [`PiconetSim::run_probed`] after warm-up growth has settled,
+//! 4. the scatternet steady states (chain, observed chain, 256-piconet
+//!    mesh) and the grid aggregator.
+//!
+//! It also bounds one whole-cell cost exactly, in allocated bytes:
+//! asking a grid cell for engine telemetry must cost next to nothing.
 //!
 //! The binary runs **without the libtest harness** (`harness = false`):
 //! the allocation counter is process-global, and even an otherwise idle
@@ -14,7 +19,7 @@
 //! make a zero-delta assertion flaky. Here `main` is the only thread.
 
 use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType};
-use btgs_bench::alloc_counter::{allocation_count, CountingAllocator};
+use btgs_bench::alloc_counter::{allocated_bytes, allocation_count, CountingAllocator};
 use btgs_core::{
     BeSourceMix, PaperScenario, PaperScenarioParams, PollerKind, ScatternetScenario,
     ScatternetScenarioParams, Topology,
@@ -475,6 +480,59 @@ fn grid_aggregator_memory_is_independent_of_cell_count() {
     );
 }
 
+/// Engine telemetry is a view of the engine's own counters, so a grid
+/// cell that asks for it must allocate about what the plain cell does:
+/// no trace rings, no per-event state. Allocated bytes are exact and
+/// wall-clock free; the bound is the plain cell's bytes plus 64 KiB
+/// (one boxed `TelemetryReport` is about 1.4 KiB).
+fn telemetry_cell_allocates_like_the_plain_cell() {
+    use btgs_core::{BeSourceMix, CellOutcome, GridCell};
+
+    // An admitted bidirectional 3-piconet chain with BE load — a cell of
+    // the `admitted_chains_sharded` benchmark grid.
+    let cell = |telemetry: bool| GridCell {
+        poller: PollerKind::PfpGs,
+        piconets: 3,
+        seed: 1,
+        topology: Topology::Chain,
+        delay_requirement: SimDuration::from_millis(46),
+        chain_deadline: Some(SimDuration::from_millis(400)),
+        bidirectional: true,
+        bridge_cycle: SimDuration::from_millis(10),
+        horizon: SimTime::from_secs(2),
+        warmup: SimDuration::from_millis(500),
+        include_be: true,
+        be_load_scale: 1.0,
+        be_source_mix: BeSourceMix::Cbr,
+        telemetry,
+    };
+    let bytes = |telemetry: bool| -> (u64, CellOutcome) {
+        let before = allocated_bytes();
+        let outcome = cell(telemetry).simulate();
+        (allocated_bytes() - before, outcome)
+    };
+    // Warm-up: any one-time lazy initialisation lands outside both
+    // measurements.
+    black_box(cell(false).simulate());
+    let (plain, plain_outcome) = bytes(false);
+    let (observed, outcome) = bytes(true);
+    assert!(matches!(plain_outcome, CellOutcome::Scatternet(_, None)));
+    let CellOutcome::Scatternet(_, Some(telemetry)) = outcome else {
+        panic!("a telemetry cell carries its telemetry");
+    };
+    assert!(
+        telemetry.events_per_claim.count > 0,
+        "the engine recorded its histograms"
+    );
+    let bound = plain + 64 * 1024;
+    assert!(
+        observed <= bound,
+        "telemetry cell allocated {observed} bytes; the plain cell {plain} \
+         (bound {bound})"
+    );
+    println!("   plain cell {plain} bytes, telemetry cell {observed} bytes");
+}
+
 fn main() {
     poller_decisions_are_allocation_free();
     println!("ok - poller decisions are allocation-free");
@@ -492,4 +550,6 @@ fn main() {
     println!("ok - 256-piconet mesh steady state is allocation-free");
     grid_aggregator_memory_is_independent_of_cell_count();
     println!("ok - grid aggregator memory is independent of cell count");
+    telemetry_cell_allocates_like_the_plain_cell();
+    println!("ok - a telemetry grid cell allocates like the plain cell");
 }

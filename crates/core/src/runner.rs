@@ -39,7 +39,7 @@ use crate::scenario::{BeSourceMix, GsFlowPlan, PaperScenario, PaperScenarioParam
 use crate::sink::{CellSink, CollectSink};
 use btgs_des::{SimDuration, SimTime};
 use btgs_metrics::{fmt_f64, DelayStats, Table};
-use btgs_piconet::{FlowReport, ObsConfig, RunReport, ScatternetReport, TelemetryReport};
+use btgs_piconet::{FlowReport, RunReport, ScatternetReport, TelemetryReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -136,8 +136,9 @@ pub struct ScenarioGrid {
     /// How the BE flows generate traffic (a grid-wide variant, not an
     /// axis).
     pub be_source_mix: BeSourceMix,
-    /// Run scatternet cells (`piconets ≥ 2`) through the observed engine
-    /// and attach each cell's engine [`TelemetryReport`] to its outcome
+    /// Run scatternet cells (`piconets ≥ 2`) with the engine's telemetry
+    /// histograms on (`ScatternetSim::run_with_telemetry`) and attach
+    /// each cell's engine [`TelemetryReport`] to its outcome
     /// (merged by the grid aggregator, carried as an optional wire
     /// frame field, and **excluded** from every byte-identity digest).
     /// Single-piconet cells ignore it; the simulated reports are
@@ -446,14 +447,15 @@ impl GridCell {
         } else {
             let scenario = ScatternetScenario::build(self.scatternet_params());
             if self.telemetry {
-                // The observed engine returns a report byte-identical to
-                // the plain run (the parallel-equivalence suite proves
-                // it), plus the engine telemetry riding alongside.
-                let run = scenario
+                // The plain engine with its histograms switched on: the
+                // report is byte-identical to the plain run and the
+                // telemetry to the traced run's
+                // (tests/parallel_equivalence.rs checks both).
+                let (report, telemetry) = scenario
                     .simulator(self.poller)
-                    .and_then(|sim| sim.run_observed(self.horizon, ObsConfig::default()))
+                    .and_then(|sim| sim.run_with_telemetry(self.horizon))
                     .expect("scatternet scenario must simulate");
-                CellOutcome::Scatternet(run.report, Some(Box::new(run.telemetry)))
+                CellOutcome::Scatternet(report, Some(Box::new(telemetry)))
             } else {
                 CellOutcome::Scatternet(
                     scenario
@@ -484,7 +486,7 @@ pub enum CellOutcome {
     /// A single-piconet (Fig. 4) cell's report.
     Piconet(RunReport),
     /// A scatternet cell's full report, plus the engine telemetry when
-    /// the cell ran observed ([`GridCell::telemetry`]).
+    /// the cell asked for it ([`GridCell::telemetry`]).
     Scatternet(ScatternetReport, Option<Box<TelemetryReport>>),
 }
 
@@ -495,7 +497,7 @@ pub struct ScatternetCellResult {
     pub scenario: ScatternetScenario,
     /// The full scatternet report (per-piconet runs + chain statistics).
     pub report: ScatternetReport,
-    /// The engine telemetry, when the cell ran observed
+    /// The engine telemetry, when the cell asked for it
     /// ([`GridCell::telemetry`]). Excluded from every digest.
     pub telemetry: Option<Box<TelemetryReport>>,
 }

@@ -27,9 +27,11 @@
 //!   deterministic rendezvous schedules ([`PresenceMask`]), and
 //!   cross-piconet chains with end-to-end and bridge-residence delay
 //!   accounting ([`ChainReport`]). A causality sanitizer, a divergence
-//!   bisector and a tracing/telemetry layer
-//!   ([`ScatternetSim::run_sanitized`], [`bisect_runs`],
-//!   [`ScatternetSim::run_observed`]) are compiled out of plain runs.
+//!   bisector and a tracing layer ([`ScatternetSim::run_sanitized`],
+//!   [`bisect_runs`], [`ScatternetSim::run_observed`]) are compiled out
+//!   of plain runs; engine telemetry
+//!   ([`ScatternetSim::run_with_telemetry`]) is a view of the plain
+//!   engine's counters.
 //!
 //! Polling *policies* plug in through the [`Poller`] trait; baselines live
 //! in `btgs-pollers`, and the paper's Guaranteed Service pollers in

@@ -352,7 +352,7 @@ pub(crate) struct IslandProbe {
     hashes: Vec<u64>,
     times: Vec<u64>,
     window: Vec<TraceEvent>,
-    /// Telemetry/trace capture for this island — `None` unless the run
+    /// Trace and meter capture for this island — `None` unless the run
     /// was started through `run_observed`.
     obs: Option<IslandObs>,
 }
@@ -505,12 +505,13 @@ impl IslandProbe {
     }
 
     /// Called once per coordinator claim after this island ran to the
-    /// phase boundary `b`, with the island wheel's live/near occupancy.
-    pub(crate) fn on_island_ran(&mut self, b: SimTime, live: u64, near: u64) {
+    /// phase boundary `b`, with the events it processed in the claim and
+    /// the island wheel's live count.
+    pub(crate) fn on_island_ran(&mut self, b: SimTime, events: u64, live: u64) {
         if let Some(obs) = self.obs.as_mut() {
             // analyze: allow(obs-seam): delegated from island_status_after_run,
             // itself behind the `I` const-generic seam.
-            obs.on_island_ran(b, live, near);
+            obs.on_island_ran(b, events, live);
         }
     }
 

@@ -72,9 +72,12 @@ use crate::sanitizer::{
     TraceConfig, TraceKind,
 };
 use crate::sim::{handle, seed_world, Ev, Target, World};
-use crate::telemetry::{CoordObs, EventMeter, IslandObs, ObsConfig, ObservedRun};
+use crate::telemetry::{
+    CoordObs, EventMeter, Histo32, IslandObs, ObsConfig, ObservedParts, ObservedRun,
+    TelemetryReport,
+};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
-use btgs_des::{DetRng, EventQueue, Scheduler, SimDuration, SimTime, Simulator};
+use btgs_des::{DetRng, EventQueue, QueueOccupancy, Scheduler, SimDuration, SimTime, Simulator};
 use btgs_metrics::DelayStats;
 use btgs_traffic::{AppPacket, FlowId, Source};
 use std::cell::Cell;
@@ -718,19 +721,20 @@ fn island_status(island: &mut IslandSim) -> (SimTime, SimTime, bool) {
 }
 
 /// [`island_status`] at the end of a claimed run to boundary `b`, with the
-/// observability hook: under the instrumented monomorphisation the
-/// island's probe records the `[previous boundary, b]` run slice, the
-/// events it processed in this claim and its queue occupancy. The default
-/// engine (`I = false`) compiles this down to plain [`island_status`].
+/// trace hook: under the instrumented monomorphisation the island's probe
+/// records the `[previous boundary, b]` run slice, the `events` it
+/// processed in this claim and its live wheel count. The default engine
+/// (`I = false`) compiles this down to plain [`island_status`].
 fn island_status_after_run<const I: bool>(
     island: &mut IslandSim,
     b: SimTime,
+    events: u64,
 ) -> (SimTime, SimTime, bool) {
     if I {
         let (sched, st) = island.split_mut();
-        let occ = sched.queue_occupancy();
+        let live = sched.queue_occupancy().live as u64;
         if let Some(probe) = st.probe.as_deref_mut() {
-            probe.on_island_ran(b, occ.live as u64, occ.near as u64);
+            probe.on_island_ran(b, events, live);
         }
     }
     island_status(island)
@@ -838,9 +842,12 @@ fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
     }
 }
 
-/// Engine observability counters, surfaced on [`ScatternetReport`].
-/// Excluded from cross-configuration byte-identity digests the way
-/// `events_processed` is.
+/// The engine's one counter set. The six counters are surfaced on
+/// [`ScatternetReport`]; the five histograms are recorded only for
+/// telemetry runs ([`EngineMode::telemetry`]) and surfaced, with the
+/// counters, as the [`TelemetryReport`] view. All of it is excluded from
+/// cross-configuration byte-identity digests the way `events_processed`
+/// is.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct EngineCounters {
     pub(crate) phases_run: u64,
@@ -849,15 +856,45 @@ pub(crate) struct EngineCounters {
     pub(crate) widening_stretches: u64,
     pub(crate) islands_skipped_idle: u64,
     pub(crate) relays_injected: u64,
+    /// Phase widths in nanoseconds, one sample per phase.
+    pub(crate) phase_width_ns: Histo32,
+    /// Staged-relay pool size after each phase's collect.
+    pub(crate) relay_pool: Histo32,
+    /// Island wheel live-event count after each claim.
+    pub(crate) wheel_pending: Histo32,
+    /// Island wheel near-horizon occupancy after each claim.
+    pub(crate) wheel_near: Histo32,
+    /// Events processed per island claim.
+    pub(crate) events_per_claim: Histo32,
+}
+
+impl EngineCounters {
+    /// Records one closed phase `[t, b)` and its post-collect pool size.
+    fn record_phase(&mut self, t: SimTime, b: SimTime, pool_len: usize) {
+        self.phase_width_ns.record(nanos_of(b) - nanos_of(t));
+        self.relay_pool.record(pool_len as u64);
+    }
+
+    /// Records one island claim: the events it processed and the
+    /// island's wheel occupancy after it.
+    fn record_claim(&mut self, events: u64, occ: QueueOccupancy) {
+        self.wheel_pending.record(occ.live as u64);
+        self.wheel_near.record(occ.near as u64);
+        self.events_per_claim.record(events);
+    }
 }
 
 /// The engine toggles (see [`ScatternetSim::with_phase_widening`] and
 /// [`ScatternetSim::with_phase_batching`]). Reports are byte-identical
-/// across all four combinations.
+/// across all four widening × batching combinations.
 #[derive(Clone, Copy)]
 struct EngineMode {
     widening: bool,
     batching: bool,
+    /// Record the per-phase and per-claim histograms of
+    /// [`EngineCounters`]; off for plain runs, which then do no extra
+    /// per-claim work.
+    telemetry: bool,
 }
 
 /// Test-only engine corruption state, driving one [`EngineMutation`]
@@ -884,7 +921,7 @@ impl MutationState {
 
 /// Per-run instrumentation control handed to the engine loop: the
 /// sanitizer (sanitized runs), the seeded mutation (corpus tests) and the
-/// coordinator-side observability recorder (observed runs). Default runs
+/// coordinator-side trace recorder (observed runs). Default runs
 /// carry `None` in every field; every hook is a per-round or
 /// per-injection `Option` branch, never per event — the per-event seam is
 /// the `I` const generic on [`island_handle`].
@@ -1014,7 +1051,7 @@ impl EngineCtl<'_> {
         }
     }
 
-    /// Records one closed phase on the coordinator observability recorder:
+    /// Records one closed phase on the coordinator trace recorder:
     /// the `[t, b]` slice, the claim/skip split, the post-collect relay
     /// pool occupancy and whether adaptive widening stretched the phase
     /// past a calendar start. Every argument is derived from
@@ -1035,7 +1072,7 @@ impl EngineCtl<'_> {
     }
 
     /// Records one pooled-relay injection (target island and staging
-    /// sequence) on the coordinator observability recorder.
+    /// sequence) on the coordinator trace recorder.
     fn on_injected(&mut self, t: SimTime, target: u16, seq: u64) {
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.on_injected(t, target, seq);
@@ -1129,8 +1166,11 @@ fn run_phases<const I: bool>(
                 continue;
             }
             let island = &mut islands[idx];
-            island.run_until(b, island_handle::<I>);
-            let (ne, hf, did_stage) = island_status_after_run::<I>(island, b);
+            let events = island.run_until(b, island_handle::<I>);
+            if mode.telemetry {
+                counters.record_claim(events, island.scheduler_mut().queue_occupancy());
+            }
+            let (ne, hf, did_stage) = island_status_after_run::<I>(island, b, events);
             next_event[idx] = ne;
             hot[idx] = hf;
             staged[idx] |= did_stage;
@@ -1144,6 +1184,9 @@ fn run_phases<const I: bool>(
         }
         sort_pool(&mut pool, ctl.unsorted());
         ctl.corrupt_pool(&mut pool);
+        if mode.telemetry {
+            counters.record_phase(t, b, pool.len());
+        }
         ctl.on_phase(
             t,
             b,
@@ -1305,13 +1348,15 @@ pub struct ScatternetSim {
 
 /// What [`ScatternetSim::run_inner`] hands back to its public wrappers:
 /// the report (withheld when the sanitizer halted the run), the sanitizer
-/// findings, the bisector event trace, and the observability outputs —
-/// each populated only when requested.
+/// findings, the bisector event trace, the engine telemetry, and the
+/// trace rings and meters of an observed run — each populated only when
+/// requested.
 struct RunInnerOutput {
     report: Option<ScatternetReport>,
     sanitizer: Option<SanitizerReport>,
     trace: Option<RunTrace>,
-    observed: Option<crate::telemetry::ObservedParts>,
+    telemetry: Option<TelemetryReport>,
+    observed: Option<ObservedParts>,
 }
 
 impl ScatternetSim {
@@ -1688,19 +1733,42 @@ impl ScatternetSim {
         horizon: SimTime,
         probe: &mut dyn FnMut(),
     ) -> Result<ScatternetReport, PiconetError> {
-        let out = self.run_inner(checkpoint, horizon, probe, false, None, None)?;
+        let out = self.run_inner(checkpoint, horizon, probe, false, None, None, false)?;
         Ok(out
             .report
             .expect("uninstrumented runs always carry a report"))
     }
 
-    /// Runs to `horizon` with the observability layer enabled: a
-    /// deterministic structured trace (fixed-capacity per-track ring
-    /// buffers, sim-time keyed — byte-identical across island visit
-    /// orders) plus the pre-registered engine telemetry
-    /// ([`TelemetryReport`](crate::TelemetryReport)). Plain
-    /// [`run`](ScatternetSim::run) compiles all of it out through the
-    /// same const-generic seam as the sanitizer.
+    /// Runs to `horizon` on the plain (uninstrumented) engine and also
+    /// returns the engine telemetry ([`TelemetryReport`]): the engine's
+    /// counters plus its phase-width, relay-pool, wheel-occupancy and
+    /// per-claim histograms, recorded once per phase and once per island
+    /// claim — no per-event hook, no trace ring. The report is
+    /// byte-identical to [`run`](ScatternetSim::run)'s, and the telemetry
+    /// equals [`run_observed`](ScatternetSim::run_observed)'s.
+    ///
+    /// # Errors
+    ///
+    /// See [`ScatternetSim::run`].
+    pub fn run_with_telemetry(
+        self,
+        horizon: SimTime,
+    ) -> Result<(ScatternetReport, TelemetryReport), PiconetError> {
+        let out = self.run_inner(horizon, horizon, &mut || {}, false, None, None, true)?;
+        Ok((
+            out.report.expect("telemetry runs always carry a report"),
+            out.telemetry.expect("telemetry runs carry their telemetry"),
+        ))
+    }
+
+    /// Runs to `horizon` with tracing enabled: a deterministic structured
+    /// trace (fixed-capacity per-track ring buffers, sim-time keyed —
+    /// byte-identical across island visit orders), plus the same engine
+    /// telemetry as [`run_with_telemetry`](ScatternetSim::run_with_telemetry)
+    /// with the rings' overflow count. Only the trace rings, fine events
+    /// and [`EventMeter`]s need the instrumented engine; every other run
+    /// compiles them out through the same const-generic seam as the
+    /// sanitizer.
     ///
     /// # Errors
     ///
@@ -1741,8 +1809,18 @@ impl ScatternetSim {
                 self.islands.len()
             )));
         }
-        let out = self.run_inner(checkpoint, horizon, probe, false, None, Some((cfg, meters)))?;
-        let (trace, telemetry, meters) = out.observed.expect("observed runs carry their outputs");
+        let out = self.run_inner(
+            checkpoint,
+            horizon,
+            probe,
+            false,
+            None,
+            Some((cfg, meters)),
+            true,
+        )?;
+        let (trace, meters) = out.observed.expect("observed runs carry their outputs");
+        let mut telemetry = out.telemetry.expect("observed runs carry their telemetry");
+        telemetry.trace_dropped = trace.dropped;
         Ok(ObservedRun {
             report: out.report.expect("observed runs always carry a report"),
             trace,
@@ -1765,7 +1843,7 @@ impl ScatternetSim {
     ///
     /// See [`ScatternetSim::run`].
     pub fn run_sanitized(self, horizon: SimTime) -> Result<SanitizedRun, PiconetError> {
-        let out = self.run_inner(horizon, horizon, &mut || {}, true, None, None)?;
+        let out = self.run_inner(horizon, horizon, &mut || {}, true, None, None, false)?;
         Ok(SanitizedRun {
             report: out.report,
             sanitizer: out
@@ -1788,7 +1866,15 @@ impl ScatternetSim {
         horizon: SimTime,
         trace: TraceConfig,
     ) -> Result<(ScatternetReport, RunTrace), PiconetError> {
-        let out = self.run_inner(horizon, horizon, &mut || {}, false, Some(trace), None)?;
+        let out = self.run_inner(
+            horizon,
+            horizon,
+            &mut || {},
+            false,
+            Some(trace),
+            None,
+            false,
+        )?;
         Ok((
             out.report.expect("traced runs always carry a report"),
             out.trace.expect("traced runs carry a trace"),
@@ -1806,11 +1892,15 @@ impl ScatternetSim {
     }
 
     /// The shared run loop behind [`run_probed`](ScatternetSim::run_probed)
-    /// (uninstrumented), [`run_sanitized`](ScatternetSim::run_sanitized)
-    /// and [`run_traced`](ScatternetSim::run_traced): seeds the islands,
-    /// runs the phase loop (instrumented monomorphisation only when
-    /// sanitizing, tracing or observing), and assembles
-    /// the report plus whatever instrumentation output was requested.
+    /// and [`run_with_telemetry`](ScatternetSim::run_with_telemetry)
+    /// (uninstrumented), [`run_observed_probed`](ScatternetSim::run_observed_probed),
+    /// [`run_sanitized`](ScatternetSim::run_sanitized) and
+    /// [`run_traced`](ScatternetSim::run_traced): seeds the islands, runs
+    /// the phase loop (instrumented monomorphisation only when
+    /// sanitizing, tracing or observing; histograms only with
+    /// `telemetry`), and assembles the report plus whatever
+    /// instrumentation output was requested.
+    #[allow(clippy::too_many_arguments)]
     fn run_inner(
         mut self,
         checkpoint: SimTime,
@@ -1819,6 +1909,7 @@ impl ScatternetSim {
         sanitize: bool,
         trace: Option<TraceConfig>,
         obs: Option<(ObsConfig, Vec<Box<dyn EventMeter>>)>,
+        telemetry: bool,
     ) -> Result<RunInnerOutput, PiconetError> {
         // `self` is consumed, so a sim cannot run twice by construction.
         for (pic, island) in self.islands.iter_mut().enumerate() {
@@ -1843,7 +1934,7 @@ impl ScatternetSim {
         }
 
         // Instrumentation: install the per-island probes (sanitizer state,
-        // trace sinks, observability recorders) and the coordinator-side
+        // bisector hashes, trace rings and meters) and the coordinator-side
         // control. All of it is behind the `I` monomorphisation seam —
         // default runs never touch any of this beyond a handful of
         // `Option::None` branches per round.
@@ -1891,6 +1982,7 @@ impl ScatternetSim {
         let mode = EngineMode {
             widening: self.widening,
             batching: self.batching,
+            telemetry,
         };
         let mut islands = self.islands;
         let counters = if instrumented {
@@ -1967,18 +2059,20 @@ impl ScatternetSim {
         let run_trace = trace.is_some().then(|| RunTrace {
             islands: probes.iter_mut().map(IslandProbe::take_trace).collect(),
         });
+        let telemetry = telemetry.then(|| TelemetryReport::from_engine(&counters, &report));
         let observed = coord_obs.map(|coord| {
             let island_obs: Vec<IslandObs> = probes
                 .iter_mut()
                 .filter_map(IslandProbe::take_obs)
                 .collect();
-            crate::telemetry::assemble(coord, island_obs, &counters, &report)
+            crate::telemetry::assemble(coord, island_obs)
         });
         let halted = sanitize && tripped.get();
         Ok(RunInnerOutput {
             report: if halted { None } else { Some(report) },
             sanitizer,
             trace: run_trace,
+            telemetry,
             observed,
         })
     }

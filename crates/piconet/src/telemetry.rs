@@ -1,9 +1,18 @@
 //! The deterministic observability layer of the island engine.
 //!
-//! Three pillars, all behind the same const-generic `I` seam as the
-//! causality sanitizer (so plain [`run`](crate::ScatternetSim::run)
-//! compiles every capture site out and the default path stays
-//! bit-and-allocation identical):
+//! Three pillars:
+//!
+//! * **engine telemetry** — a fixed block of counters and log₂
+//!   histograms ([`Histo32`]): phase width, widening stretches,
+//!   idle-skip counts, relay-pool and wheel-bucket occupancy, per-claim
+//!   event batches and the per-poller decision mix, surfaced as a
+//!   [`TelemetryReport`]. It is a *view* of the engine's own counter set
+//!   (`EngineCounters`), recorded once per phase and once per island
+//!   claim by the plain engine — [`run_with_telemetry`] costs about what
+//!   a plain [`run`] costs and touches no per-event hook. Like
+//!   `events_processed`, the report is *excluded* from
+//!   cross-configuration byte-identity digests (it is about the engine,
+//!   not the simulated system).
 //!
 //! * **structured tracing** — fixed-capacity ring buffers
 //!   ([`TraceSink`]) of typed [`TraceRecord`]s: phase spans, island
@@ -14,23 +23,22 @@
 //!   orders and engine toggles. Export to Chrome/Perfetto JSON
 //!   lives in the `btgs-obs` harness crate.
 //!
-//! * **engine telemetry** — a pre-registered, zero-allocation registry
-//!   of counters and log₂ histograms ([`Histo32`]): phase width,
-//!   widening stretches, idle-skip counts, relay-pool and wheel-bucket
-//!   occupancy, per-claim event batches and the per-poller decision
-//!   mix, surfaced as a [`TelemetryReport`]. Like `events_processed`,
-//!   the report is *excluded* from cross-configuration byte-identity
-//!   digests (it is about the engine, not the simulated system).
-//!
 //! * **per-event cost metering** — an [`EventMeter`] callback pair
 //!   (`begin`/`end(tag)`) around every island event. The trait object
 //!   is supplied by the harness (`btgs-obs`), which is where the
 //!   wall-clock reads live; this crate never touches an ambient clock.
 //!
-//! Everything here is pre-sized at run start: ring buffers at their
-//! configured capacity (overflow is *dropped and counted*, never
-//! grown), histograms as fixed arrays. The zero-allocation gate
-//! brackets an observed steady state to prove it.
+//! Tracing and metering sit behind the same const-generic `I` seam as
+//! the causality sanitizer, so every other run compiles their capture
+//! sites out; only [`run_observed`] enables them. Everything is
+//! pre-sized at run start: ring buffers at their configured capacity
+//! (overflow is *dropped and counted*, never grown), histograms as
+//! fixed arrays. The zero-allocation gate brackets an observed steady
+//! state to prove it.
+//!
+//! [`run`]: crate::ScatternetSim::run
+//! [`run_with_telemetry`]: crate::ScatternetSim::run_with_telemetry
+//! [`run_observed`]: crate::ScatternetSim::run_observed
 
 use crate::sanitizer::TraceKind;
 use crate::scatternet::{nanos_of, EngineCounters};
@@ -246,12 +254,14 @@ pub struct EngineTrace {
     pub dropped: u64,
 }
 
-/// The pre-registered engine telemetry of one observed run. Excluded
-/// from cross-configuration byte-identity digests (the
-/// `events_processed` precedent): it describes the *engine*, not the
-/// simulated system, and may legitimately vary with toggles. Fixed
-/// size and `Copy`, so carrying it through the grid aggregator
-/// allocates nothing per cell.
+/// The engine telemetry of one run
+/// ([`run_with_telemetry`](crate::ScatternetSim::run_with_telemetry) or
+/// [`run_observed`](crate::ScatternetSim::run_observed); both assemble it
+/// from the same engine counters). Excluded from cross-configuration
+/// byte-identity digests (the `events_processed` precedent): it
+/// describes the *engine*, not the simulated system, and may
+/// legitimately vary with toggles. Fixed size and `Copy`, so carrying it
+/// through the grid aggregator allocates nothing per cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
     /// Total events processed across all islands.
@@ -287,11 +297,43 @@ pub struct TelemetryReport {
     pub wheel_near: Histo32,
     /// Events processed per island claim.
     pub events_per_claim: Histo32,
-    /// Trace records dropped (ring-capacity overflow).
+    /// Trace records dropped (ring-capacity overflow; always zero
+    /// without a trace).
     pub trace_dropped: u64,
 }
 
 impl TelemetryReport {
+    /// The telemetry view of one run: the engine's counter set plus the
+    /// report's event count and poll mix. `trace_dropped` starts at zero;
+    /// an observed run fills it in from its rings.
+    pub(crate) fn from_engine(
+        counters: &EngineCounters,
+        report: &ScatternetReport,
+    ) -> TelemetryReport {
+        let mut telemetry = TelemetryReport {
+            events_processed: report.events_processed,
+            phases_run: counters.phases_run,
+            islands_claimed: counters.islands_claimed,
+            relays_staged: counters.relays_staged,
+            relays_injected: counters.relays_injected,
+            widening_stretches: counters.widening_stretches,
+            islands_skipped_idle: counters.islands_skipped_idle,
+            phase_width_ns: counters.phase_width_ns,
+            relay_pool: counters.relay_pool,
+            wheel_pending: counters.wheel_pending,
+            wheel_near: counters.wheel_near,
+            events_per_claim: counters.events_per_claim,
+            ..TelemetryReport::default()
+        };
+        for p in &report.piconets {
+            telemetry.gs_polls_successful += p.gs_polls.successful;
+            telemetry.gs_polls_unsuccessful += p.gs_polls.unsuccessful;
+            telemetry.be_polls_successful += p.be_polls.successful;
+            telemetry.be_polls_unsuccessful += p.be_polls.unsuccessful;
+        }
+        telemetry
+    }
+
     /// Folds another shard's telemetry into this one (grid
     /// aggregation).
     pub fn merge(&mut self, other: &TelemetryReport) {
@@ -317,13 +359,15 @@ impl TelemetryReport {
 
 /// Everything an observed run returns
 /// ([`run_observed`](crate::ScatternetSim::run_observed)): the ordinary
-/// report (byte-identical to an unobserved run), the telemetry, the
-/// merged trace and the per-event meters handed back to the harness.
+/// report (byte-identical to an unobserved run), the telemetry (equal to
+/// [`run_with_telemetry`](crate::ScatternetSim::run_with_telemetry)'s
+/// but for `trace_dropped`), the merged trace and the per-event meters
+/// handed back to the harness.
 pub struct ObservedRun {
     /// The ordinary run report — byte-identical to the unobserved run
     /// of the same configuration.
     pub report: ScatternetReport,
-    /// The engine telemetry registry.
+    /// The engine telemetry, with the rings' overflow count.
     pub telemetry: TelemetryReport,
     /// The merged structured trace.
     pub trace: EngineTrace,
@@ -332,7 +376,7 @@ pub struct ObservedRun {
     pub meters: Vec<Box<dyn EventMeter>>,
 }
 
-/// Per-island observability state, owned by the island's probe and
+/// Per-island trace and meter state, owned by the island's probe and
 /// driven from behind the `I` seam. Each island writes its own sink, so
 /// the visit order cannot interleave records.
 pub(crate) struct IslandObs {
@@ -340,12 +384,8 @@ pub(crate) struct IslandObs {
     fine: bool,
     track: u16,
     prev_b_ns: u64,
-    events_in_claim: u64,
     last_tag: u8,
     meter: Option<Box<dyn EventMeter>>,
-    wheel_pending: Histo32,
-    wheel_near: Histo32,
-    events_per_claim: Histo32,
 }
 
 impl IslandObs {
@@ -355,17 +395,12 @@ impl IslandObs {
             fine: cfg.fine_events,
             track: pic + 1,
             prev_b_ns: 0,
-            events_in_claim: 0,
             last_tag: 0,
             meter,
-            wheel_pending: Histo32::default(),
-            wheel_near: Histo32::default(),
-            events_per_claim: Histo32::default(),
         }
     }
 
     pub(crate) fn on_event(&mut self, t: SimTime, kind: TraceKind, a: u64, _b: u64) {
-        self.events_in_claim += 1;
         self.last_tag = kind as u8;
         if self.fine {
             let t_ns = nanos_of(t);
@@ -401,39 +436,31 @@ impl IslandObs {
         );
     }
 
-    pub(crate) fn on_island_ran(&mut self, b: SimTime, live: u64, near: u64) {
+    pub(crate) fn on_island_ran(&mut self, b: SimTime, events: u64, live: u64) {
         let b_ns = nanos_of(b);
         self.sink.push(
             self.prev_b_ns,
             b_ns,
             self.track,
             TraceRecordKind::IslandRun,
-            self.events_in_claim,
+            events,
             live,
         );
-        self.wheel_pending.record(live);
-        self.wheel_near.record(near);
-        self.events_per_claim.record(self.events_in_claim);
-        self.events_in_claim = 0;
         self.prev_b_ns = b_ns;
     }
 }
 
-/// Coordinator-side observability state: phase spans, injections and
-/// the engine-shape histograms. Only ever touched by the round loop
-/// between rounds, so its record order is visit-order-invariant.
+/// Coordinator-side trace state: phase spans and injections. Only ever
+/// touched by the round loop between rounds, so its record order is
+/// visit-order-invariant.
 pub(crate) struct CoordObs {
     sink: TraceSink,
-    phase_width_ns: Histo32,
-    relay_pool: Histo32,
 }
 
 impl CoordObs {
     pub(crate) fn new(cfg: &ObsConfig) -> CoordObs {
         CoordObs {
             sink: TraceSink::new(cfg.ring_capacity),
-            phase_width_ns: Histo32::default(),
-            relay_pool: Histo32::default(),
         }
     }
 
@@ -464,8 +491,6 @@ impl CoordObs {
             self.sink
                 .push(t_ns, t_ns, 0, TraceRecordKind::IdleSkip, skipped, 0);
         }
-        self.phase_width_ns.record(b_ns - t_ns);
-        self.relay_pool.record(pool_len as u64);
     }
 
     pub(crate) fn on_injected(&mut self, t: SimTime, target: u16, seq: u64) {
@@ -481,59 +506,29 @@ impl CoordObs {
     }
 }
 
-/// What [`assemble`] hands back: the merged trace, the telemetry block,
-/// and the caller's meters, in island order.
-pub(crate) type ObservedParts = (EngineTrace, TelemetryReport, Vec<Box<dyn EventMeter>>);
+/// What [`assemble`] hands back: the merged trace and the caller's
+/// meters, in island order.
+pub(crate) type ObservedParts = (EngineTrace, Vec<Box<dyn EventMeter>>);
 
 /// Merges the coordinator's and every island's sinks into the final
-/// [`EngineTrace`], assembles the [`TelemetryReport`] from the engine
-/// counters, the report's poll mix and the registered histograms, and
-/// hands the meters back.
-pub(crate) fn assemble(
-    coord: CoordObs,
-    islands: Vec<IslandObs>,
-    counters: &EngineCounters,
-    report: &ScatternetReport,
-) -> ObservedParts {
-    let mut telemetry = TelemetryReport {
-        events_processed: report.events_processed,
-        phases_run: counters.phases_run,
-        islands_claimed: counters.islands_claimed,
-        relays_staged: counters.relays_staged,
-        relays_injected: counters.relays_injected,
-        widening_stretches: counters.widening_stretches,
-        islands_skipped_idle: counters.islands_skipped_idle,
-        phase_width_ns: coord.phase_width_ns,
-        relay_pool: coord.relay_pool,
-        ..TelemetryReport::default()
-    };
-    for p in &report.piconets {
-        telemetry.gs_polls_successful += p.gs_polls.successful;
-        telemetry.gs_polls_unsuccessful += p.gs_polls.unsuccessful;
-        telemetry.be_polls_successful += p.be_polls.successful;
-        telemetry.be_polls_unsuccessful += p.be_polls.unsuccessful;
-    }
-
+/// [`EngineTrace`] and hands the meters back.
+pub(crate) fn assemble(coord: CoordObs, islands: Vec<IslandObs>) -> ObservedParts {
     let mut dropped = coord.sink.dropped;
     let mut records = coord.sink.records;
     let mut meters = Vec::new();
     for island in islands {
         dropped += island.sink.dropped;
         records.extend_from_slice(&island.sink.records);
-        telemetry.wheel_pending.merge(&island.wheel_pending);
-        telemetry.wheel_near.merge(&island.wheel_near);
-        telemetry.events_per_claim.merge(&island.events_per_claim);
         if let Some(m) = island.meter {
             meters.push(m);
         }
     }
-    telemetry.trace_dropped = dropped;
     // analyze: allow(unstable-sort): the key `(start_ns, track, seq)` is
     // provably unique — `track` identifies the originating sink and `seq`
     // is that sink's monotone per-record counter, so no two records
     // compare equal.
     records.sort_unstable_by_key(|r| (r.start_ns, r.track, r.seq));
-    (EngineTrace { records, dropped }, telemetry, meters)
+    (EngineTrace { records, dropped }, meters)
 }
 
 #[cfg(test)]

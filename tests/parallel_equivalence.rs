@@ -156,12 +156,13 @@ fn island_claim_order_is_free_of_observable_effects() {
 #[test]
 fn tracing_on_reports_and_traces_are_byte_identical() {
     // The observability twin of the byte-identity contract. With the
-    // trace ring and telemetry registry switched ON: (a) the simulated
-    // report must not move by a byte relative to the plain engine, and
-    // (b) the exported Perfetto trace itself must be byte-identical
-    // across shuffled island visit orders — the merged record order
-    // `(start_ns, track, seq)` is a total order derived from simulated
-    // time, never from the order the islands ran in.
+    // trace ring and telemetry switched ON: (a) the simulated report must
+    // not move by a byte relative to the plain engine, (b) the exported
+    // Perfetto trace itself must be byte-identical across shuffled
+    // island visit orders — the merged record order `(start_ns, track,
+    // seq)` is a total order derived from simulated time, never from the
+    // order the islands ran in — and (c) the uninstrumented telemetry
+    // path must agree with both.
     use btgs::piconet::ObsConfig;
     use btgs_obs::perfetto_trace_json;
 
@@ -217,6 +218,63 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
             base_trace, trace,
             "exported trace diverged (shuffle {shuffle})"
         );
+    }
+
+    // Telemetry without the tracer: the plain engine with its histograms
+    // on must report exactly what the plain run reports (engine counters
+    // included — same configuration) and produce the traced run's
+    // telemetry field for field.
+    let sim = |topology: &str, kind: PollerKind, knobs: EngineKnobs| {
+        let mut sim = ScatternetScenario::build(params_for(topology, 7))
+            .simulator(kind)
+            .expect("scenario builds")
+            .with_phase_widening(knobs.widening)
+            .with_phase_batching(knobs.batching);
+        if let Some(seed) = knobs.shuffle {
+            sim = sim.with_island_shuffle(seed);
+        }
+        sim
+    };
+    for topology in ["chain", "ring", "mesh"] {
+        for kind in [PollerKind::PfpGs, PollerKind::FixedGs] {
+            for shuffle in [None, Some(3u64), Some(99)] {
+                for (widening, batching) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let knobs = EngineKnobs {
+                        shuffle,
+                        widening,
+                        batching,
+                    };
+                    let case = format!(
+                        "{topology}, {kind:?}, shuffle {shuffle:?}, \
+                         widening {widening}, batching {batching}"
+                    );
+                    let (report, telemetry) = sim(topology, kind, knobs)
+                        .run_with_telemetry(horizon)
+                        .expect("scenario runs");
+                    let traced = sim(topology, kind, knobs)
+                        .run_observed(horizon, ObsConfig::default())
+                        .expect("scenario runs");
+                    let plain = sim(topology, kind, knobs)
+                        .run(horizon)
+                        .expect("scenario runs");
+                    assert_eq!(
+                        telemetry, traced.telemetry,
+                        "telemetry diverged from the traced run's ({case})"
+                    );
+                    assert!(
+                        telemetry.events_per_claim.count > 0,
+                        "histograms recorded ({case})"
+                    );
+                    assert_eq!(
+                        format!("{report:#?}"),
+                        format!("{plain:#?}"),
+                        "telemetry run moved the report ({case})"
+                    );
+                }
+            }
+        }
     }
 }
 
