@@ -14,10 +14,9 @@
 //!   outside the bench/CLI crates, `#![forbid(unsafe_code)]` in every sim
 //!   crate (with btgs-bench's single audited exception), a machine-checked
 //!   `// ord:` justification on every atomic `Ordering::*` use (the
-//!   experiment runner's cell cursor, the grid runner, the poller stats
-//!   and the bench allocator), no truncating `as` casts on time/id
-//!   newtype payloads, no unstable sorts on sim paths, and every
-//!   observability hook behind the `if I` guard.
+//!   experiment runner's cell cursor, the grid runner and the bench
+//!   allocator), no truncating `as` casts on time/id newtype payloads,
+//!   and no unstable sorts on sim paths.
 //!   Waivers (`// analyze: allow(<rule>): <reason>`) are collected into a
 //!   committed audit report ([`audit`]) the lint keeps fresh. CI and the
 //!   tier-1 `workspace_is_clean` test run it.

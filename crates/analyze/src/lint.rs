@@ -58,14 +58,6 @@ pub enum Rule {
     /// turns NaN into `Equal`-by-unwrap or panics. Waivable when the key is
     /// provably unique; `total_cmp` is the sanctioned float comparator.
     UnstableSort,
-    /// An observability hook call (`.on_event(`, `.after_event(`, …) on a
-    /// simulation path without an `if I` const-generic guard within the
-    /// preceding window of code lines. The seam contract: every
-    /// instrumentation call site monomorphises away in the `I = false`
-    /// engine; an unguarded call would tax the default path. Waivable at
-    /// delegation sites that are themselves reached only through guarded
-    /// callers.
-    ObsSeam,
     /// A malformed or unused waiver comment.
     Waiver,
 }
@@ -82,7 +74,6 @@ impl Rule {
             Rule::OrdComment => "ord-comment",
             Rule::NewtypeCast => "newtype-cast",
             Rule::UnstableSort => "unstable-sort",
-            Rule::ObsSeam => "obs-seam",
             Rule::Waiver => "waiver",
         }
     }
@@ -97,7 +88,6 @@ impl Rule {
             "ord-comment" => Some(Rule::OrdComment),
             "newtype-cast" => Some(Rule::NewtypeCast),
             "unstable-sort" => Some(Rule::UnstableSort),
-            "obs-seam" => Some(Rule::ObsSeam),
             _ => None,
         }
     }
@@ -223,21 +213,6 @@ const CAST_FORMS: [&str; 12] = [
 /// counts as annotating it (justification blocks sit above multi-line
 /// statements).
 const ORD_COMMENT_WINDOW: usize = 6;
-
-/// Observability hook call forms. Dot-prefixed so `fn on_event(…)`
-/// definitions never fire — only call sites do.
-const OBS_HOOK_CALLS: [&str; 5] = [
-    ".on_event(",
-    ".on_scheduled_relay(",
-    ".on_staged(",
-    ".after_event(",
-    ".on_island_ran(",
-];
-
-/// How many *code* lines above an observability hook call (the call line
-/// included) an `if I` guard still counts — guards open a block, then
-/// destructure/compute, then call.
-const OBS_SEAM_WINDOW: usize = 5;
 
 /// The one file allowed to carry `#[allow(unsafe_code)]`, per policy.
 const UNSAFE_ALLOW_SITE: &str = "crates/bench/src/alloc_counter.rs";
@@ -430,45 +405,6 @@ pub fn scan_source(rel: &str, src: &str) -> (Vec<Finding>, Vec<Waiver>) {
             }
         }
 
-        // obs-seam: observability hook calls on sim paths must sit under
-        // an `if I` const-generic guard, so the uninstrumented engine
-        // monomorphises them away entirely.
-        if class == FileClass::Sim && !in_test && !is_use {
-            for call in OBS_HOOK_CALLS {
-                if code.contains(call) {
-                    let mut guarded = false;
-                    let mut seen = 0usize;
-                    for j in (0..=i).rev() {
-                        let back = lines[j].code.trim();
-                        if back.is_empty() {
-                            continue;
-                        }
-                        if has_if_i_guard(back) {
-                            guarded = true;
-                            break;
-                        }
-                        seen += 1;
-                        if seen > OBS_SEAM_WINDOW {
-                            break;
-                        }
-                    }
-                    if !guarded {
-                        raw_findings.push(Finding {
-                            rule: Rule::ObsSeam,
-                            file: rel.to_string(),
-                            line: lineno,
-                            message: format!(
-                                "observability hook `{call}` without an `if I` guard \
-                                 within {OBS_SEAM_WINDOW} code lines — the default \
-                                 engine must compile instrumentation out: `{trimmed}`"
-                            ),
-                        });
-                    }
-                    break;
-                }
-            }
-        }
-
         // unsafe-policy, per-line half: #[allow(unsafe_code)] is only legal
         // at the one audited site (the crate-level attribute checks run in
         // scan_workspace).
@@ -550,25 +486,6 @@ fn contains_cast_form(code: &str, form: &str) -> bool {
             .as_bytes()
             .get(end)
             .is_none_or(|b| !b.is_ascii_alphanumeric());
-        if boundary {
-            return true;
-        }
-        from = from + pos + 1;
-    }
-    false
-}
-
-/// `true` when `code` contains `if I` as a guard (the const-generic
-/// instrumentation flag), at an identifier boundary so `if Island…` never
-/// matches.
-fn has_if_i_guard(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("if I") {
-        let end = from + pos + "if I".len();
-        let boundary = code
-            .as_bytes()
-            .get(end)
-            .is_none_or(|b| !b.is_ascii_alphanumeric() && *b != b'_');
         if boundary {
             return true;
         }

@@ -330,76 +330,3 @@ let m: HashMap<u32, u32> = HashMap::new();
         "lookup-only index, filled by keyed inserts, never iterated."
     );
 }
-
-#[test]
-fn obs_seam_fires_on_unguarded_hook_calls() {
-    let src = "\
-fn f(st: &mut S) {
-    if let Some(probe) = st.probe.as_deref_mut() {
-        probe.on_event(now, kind, a, b);
-    }
-}
-";
-    expect(SIM, src, &[(Rule::ObsSeam, 3)]);
-    // Definitions never fire: no leading dot.
-    expect(SIM, "fn on_event(&mut self) {}\n", &[]);
-    // Harness crates (btgs-obs included) may call hooks freely.
-    expect(HARNESS, "fn f(p: &mut P) { p.after_event(); }\n", &[]);
-    expect(
-        "crates/obs/src/lib.rs",
-        "fn f(p: &mut P) { p.after_event(); }\n",
-        &[],
-    );
-}
-
-#[test]
-fn obs_seam_satisfied_by_if_i_guard_within_window() {
-    let src = "\
-fn f<const I: bool>(st: &mut S) {
-    if I {
-        let (sched, x) = st.split_mut();
-        let occ = sched.occupancy();
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.on_island_ran(b, occ.live, occ.near);
-        }
-    }
-}
-";
-    expect(SIM, src, &[]);
-    // `if Island…` is not a guard: the identifier boundary check holds.
-    let src = "\
-fn f(st: &mut S) {
-    if Islands::ready() {
-        st.probe.on_staged(pic, flow, at, seq);
-    }
-}
-";
-    expect(SIM, src, &[(Rule::ObsSeam, 3)]);
-}
-
-#[test]
-fn obs_seam_window_is_bounded_and_waivable() {
-    let src = "\
-fn f<const I: bool>(st: &mut S) {
-    if I {
-        let a = 1;
-        let b = 2;
-        let c = 3;
-        let d = 4;
-        let e = 5;
-        st.probe.on_event(now, kind, a, b);
-    }
-}
-";
-    expect(SIM, src, &[(Rule::ObsSeam, 8)]);
-    let src = "\
-fn delegate(&mut self) {
-    // analyze: allow(obs-seam): delegated from a guarded caller.
-    self.obs.after_event();
-}
-";
-    let (findings, waivers) = scan_source(SIM, src);
-    assert!(findings.is_empty(), "{findings:?}");
-    assert_eq!(waivers.len(), 1);
-    assert_eq!(waivers[0].rule, Rule::ObsSeam);
-}

@@ -11,7 +11,7 @@ use crate::packet::PacketType;
 use btgs_des::DetRng;
 
 /// Decides the fate of each transmitted baseband packet.
-pub trait ChannelModel: Send {
+pub trait ChannelModel {
     /// Returns `true` if a packet of type `ty` carrying `payload_bytes`
     /// payload bytes is delivered intact.
     fn deliver(&mut self, ty: PacketType, payload_bytes: usize) -> bool;

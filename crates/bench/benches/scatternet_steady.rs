@@ -17,12 +17,12 @@
 //! tracked across PRs alongside the wall clock.
 //!
 //! The `sanitized` twin runs one small scenario through
-//! [`ScatternetSim::run_sanitized`] — the causality sanitizer's
-//! instrumented monomorphisation. Its cost rides *only* on that twin:
-//! every other case runs the uninstrumented engine (the probe seam is a
-//! const-generic parameter, compiled out of the default path), so the
-//! trajectories above double as the regression gate that attaching the
-//! sanitizer costs the production engine nothing.
+//! [`ScatternetSim::run_sanitized`] — the engine instantiated with the
+//! causality sanitizer as its observer. Its cost rides *only* on that
+//! twin: every other case runs the engine instantiated with `()`, whose
+//! hooks compile to nothing, so the trajectories above double as the
+//! regression gate that attaching the sanitizer costs the production
+//! engine nothing.
 //!
 //! The `telemetry` twin runs the same scenario through
 //! [`ScatternetSim::run_with_telemetry`]: the uninstrumented engine with

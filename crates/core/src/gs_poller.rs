@@ -18,8 +18,8 @@ use btgs_baseband::{AmAddr, Direction, LogicalChannel};
 use btgs_des::{SimDuration, SimTime};
 use btgs_piconet::{ExchangeReport, FlowIdx, MasterView, PollDecision, Poller, SegmentOutcome};
 use btgs_traffic::FlowId;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 struct EntityState {
     slave: AmAddr,
@@ -44,22 +44,19 @@ struct EntityState {
 /// consumed the poller box).
 #[derive(Clone, Debug, Default)]
 pub struct GsPollerStats {
-    skipped: Arc<AtomicU64>,
-    executed: Arc<AtomicU64>,
+    skipped: Rc<Cell<u64>>,
+    executed: Rc<Cell<u64>>,
 }
 
 impl GsPollerStats {
     /// GS polls skipped by improvement (c).
     pub fn skipped_polls(&self) -> u64 {
-        // ord: Relaxed — diagnostic tally read after the run; the thread
-        // join that ends the run orders it.
-        self.skipped.load(Ordering::Relaxed)
+        self.skipped.get()
     }
 
     /// GS polls issued.
     pub fn executed_polls(&self) -> u64 {
-        // ord: Relaxed — same post-join diagnostic read as above.
-        self.executed.load(Ordering::Relaxed)
+        self.executed.get()
     }
 }
 
@@ -241,9 +238,7 @@ impl Poller for GsPoller {
                 while e.plan.is_due(now) && !idx.is_some_and(|i| view.downlink_has_data_at(i, now))
                 {
                     e.plan.skip();
-                    // ord: Relaxed — monotonic diagnostic counter; no
-                    // other memory rides on it.
-                    self.stats.skipped.fetch_add(1, Ordering::Relaxed);
+                    self.stats.skipped.set(self.stats.skipped.get() + 1);
                 }
             }
         }
@@ -261,8 +256,7 @@ impl Poller for GsPoller {
             .find(|e| e.plan.is_due(now) && view.fits_exchange(e.slave, e.s))
         {
             e.pending_planned = Some(e.plan.next_poll());
-            // ord: Relaxed — monotonic diagnostic counter, as above.
-            self.stats.executed.fetch_add(1, Ordering::Relaxed);
+            self.stats.executed.set(self.stats.executed.get() + 1);
             return PollDecision::Poll {
                 slave: e.slave,
                 channel: LogicalChannel::GuaranteedService,

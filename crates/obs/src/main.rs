@@ -13,6 +13,8 @@
 //! engine [`TelemetryReport`](btgs_piconet::TelemetryReport) as JSON
 //! (the grid wire encoding). `--profile` runs the per-event cost
 //! profiler table and writes `BENCH_profile_breakdown.json`.
+//! `--seconds` defaults to 2 simulated seconds for `--trace` and 5 for
+//! `--profile`.
 
 #![forbid(unsafe_code)]
 
@@ -26,25 +28,25 @@ const USAGE: &str = "usage: btgs-obs --trace {chain|ring|mesh} --out PATH \
                      [--telemetry PATH] [--seconds N] [--fine]\n\
                      \x20      btgs-obs --profile [--out PATH] [--seconds N]";
 
+/// Simulated seconds when `--seconds` is not given.
+const TRACE_SECONDS: u64 = 2;
+const PROFILE_SECONDS: u64 = 5;
+
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Args {
     trace: Option<String>,
     profile: bool,
     out: Option<String>,
     telemetry: Option<String>,
-    seconds: u64,
+    /// `None` picks the mode's default ([`TRACE_SECONDS`] or
+    /// [`PROFILE_SECONDS`]).
+    seconds: Option<u64>,
     fine: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        trace: None,
-        profile: false,
-        out: None,
-        telemetry: None,
-        seconds: 2,
-        fine: false,
-    };
-    let mut it = std::env::args().skip(1);
+/// Parses the flags (program name already skipped).
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
             it.next()
@@ -56,9 +58,11 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(value("--out")?),
             "--telemetry" => args.telemetry = Some(value("--telemetry")?),
             "--seconds" => {
-                args.seconds = value("--seconds")?
-                    .parse()
-                    .map_err(|e| format!("--seconds: {e}"))?;
+                args.seconds = Some(
+                    value("--seconds")?
+                        .parse()
+                        .map_err(|e| format!("--seconds: {e}"))?,
+                );
             }
             "--fine" => args.fine = true,
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
@@ -89,7 +93,10 @@ fn run_trace(args: &Args) -> Result<(), String> {
         ..ObsConfig::default()
     };
     let run = sim
-        .run_observed(SimTime::from_secs(args.seconds), cfg)
+        .run_observed(
+            SimTime::from_secs(args.seconds.unwrap_or(TRACE_SECONDS)),
+            cfg,
+        )
         .map_err(|e| format!("running {label}: {e}"))?;
 
     let json = perfetto_trace_json(&run.trace, piconets);
@@ -113,7 +120,7 @@ fn run_profile(args: &Args) -> Result<(), String> {
         .out
         .as_deref()
         .unwrap_or("BENCH_profile_breakdown.json");
-    let seconds = if args.seconds == 2 { 5 } else { args.seconds };
+    let seconds = args.seconds.unwrap_or(PROFILE_SECONDS);
     let runs = profile_breakdown(seconds);
     let json = profile_breakdown_json(&btgs_bench::host::host_fingerprint(), seconds, &runs);
     std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
@@ -131,7 +138,7 @@ fn run_profile(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -149,5 +156,57 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn explicit_seconds_are_kept_in_every_mode() {
+        // `--seconds 2` used to read as "unset" and ran a 5 s profile.
+        let args = parse(&["--profile", "--seconds", "2"]).unwrap();
+        assert!(args.profile);
+        assert_eq!(args.seconds, Some(2));
+        let args = parse(&["--trace", "ring", "--out", "t.json", "--seconds", "5"]).unwrap();
+        assert_eq!(args.seconds, Some(5));
+    }
+
+    #[test]
+    fn flags_parse_into_args() {
+        let args = parse(&[
+            "--trace",
+            "chain",
+            "--fine",
+            "--out",
+            "t.json",
+            "--telemetry",
+            "m.json",
+        ])
+        .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                trace: Some("chain".into()),
+                out: Some("t.json".into()),
+                telemetry: Some("m.json".into()),
+                fine: true,
+                ..Args::default()
+            }
+        );
+    }
+
+    #[test]
+    fn bad_command_lines_are_rejected() {
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--profile", "--trace", "chain"]).is_err());
+        assert!(parse(&["--profile", "--seconds"]).is_err());
+        assert!(parse(&["--profile", "--seconds", "x"]).is_err());
+        assert!(parse(&["--profile", "--bogus"]).is_err());
     }
 }

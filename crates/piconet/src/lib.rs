@@ -27,11 +27,12 @@
 //!   deterministic rendezvous schedules ([`PresenceMask`]), and
 //!   cross-piconet chains with end-to-end and bridge-residence delay
 //!   accounting ([`ChainReport`]). A causality sanitizer, a divergence
-//!   bisector and a tracing layer ([`ScatternetSim::run_sanitized`],
-//!   [`bisect_runs`], [`ScatternetSim::run_observed`]) are compiled out
-//!   of plain runs; engine telemetry
-//!   ([`ScatternetSim::run_with_telemetry`]) is a view of the plain
-//!   engine's counters.
+//!   bisector, engine telemetry and a tracing layer
+//!   ([`ScatternetSim::run_sanitized`], [`bisect_runs`],
+//!   [`ScatternetSim::run_with_telemetry`],
+//!   [`ScatternetSim::run_observed`]) each reach the engine as one
+//!   observer of a generic phase loop; plain runs instantiate it with
+//!   `()`, so all of it is compiled out of them.
 //!
 //! Polling *policies* plug in through the [`Poller`] trait; baselines live
 //! in `btgs-pollers`, and the paper's Guaranteed Service pollers in
@@ -62,8 +63,7 @@ pub use queue::{FlowQueue, SegmentPlan};
 pub use report::{FlowReport, RunReport};
 pub use sanitizer::{
     bisect_runs, BisectReport, Divergence, EngineMutation, IslandTrace, RunTrace, SanitizedRun,
-    SanitizerCheck, SanitizerFinding, SanitizerReport, TraceConfig, TraceEvent, TraceKind,
-    TraceWindow,
+    SanitizerCheck, SanitizerFinding, SanitizerReport, TraceConfig, TraceEvent, TraceWindow,
 };
 pub use sar::{
     segment_count, segment_plan, AlwaysLargestPolicy, MaxFirstPolicy, SegmentationPolicy,

@@ -317,7 +317,7 @@ impl ExchangeReport {
 ///
 /// Implementations decide which slave to address next and receive feedback
 /// about completed exchanges and master-side (downlink) packet arrivals.
-pub trait Poller: Send {
+pub trait Poller {
     /// Chooses the next action. Called whenever the channel is free at an
     /// even slot boundary. Must not assume it is called at any particular
     /// rate; spurious calls (e.g. after an arrival) are allowed.

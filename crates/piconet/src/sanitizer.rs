@@ -24,14 +24,15 @@
 //!   - *conservation*: every relay staged is injected exactly once (per
 //!     target flow: staged = injected + still-pooled at the horizon).
 //!
-//!   The instrumentation rides on a const-generic seam in the engine: the
-//!   default build monomorphises the uninstrumented handler, so plain
-//!   [`run`](crate::ScatternetSim::run) compiles the sanitizer out — the
-//!   zero-allocation gate and the steady-state benches see the exact
-//!   pre-sanitizer code. A sanitized run halts at its first finding (the
-//!   partial report is withheld) so a broken engine cannot cascade into
-//!   wheel panics before the violation is reported; a clean sanitized run
-//!   returns a report byte-identical to the unsanitized one.
+//!   The sanitizer is one engine observer (`Sanitizer`, per-island state
+//!   in a `Vec` indexed by piconet); plain
+//!   [`run`](crate::ScatternetSim::run) instantiates the engine with `()`
+//!   instead, so the zero-allocation gate and the steady-state benches
+//!   see no sanitizer code. A sanitized run halts at its first finding
+//!   (the partial report is withheld) so a broken engine cannot cascade
+//!   into wheel panics before the violation is reported; a clean
+//!   sanitized run returns a report byte-identical to the unsanitized
+//!   one.
 //!
 //! * a **divergence bisector** ([`bisect_runs`]): given two engine
 //!   configurations that must be byte-identical (widening on/off, batching
@@ -40,7 +41,9 @@
 //!   hash sequence to its first diverging event, pick the earliest across
 //!   islands, then re-run with a bounded capture window around that index
 //!   and print a minimal aligned trace (island, time, event kind, hash
-//!   prefix). "Reports differ" becomes an actionable counterexample.
+//!   prefix). "Reports differ" becomes an actionable counterexample. The
+//!   traced runs record through a second observer, `BisectTrace`; event
+//!   kinds are the engine's own tags, named by [`EVENT_KIND_NAMES`].
 //!
 //! * a **seeded-mutation corpus** ([`EngineMutation`]): deliberately broken
 //!   engine variants (off-by-one boundary walk, relay injected behind the
@@ -51,13 +54,14 @@
 //!   reports zero findings.
 
 use crate::config::PiconetError;
-use crate::telemetry::IslandObs;
-use crate::ScatternetSim;
+use crate::scatternet::{
+    event_descriptor, nanos_of, EngineObserver, IslandSim, PooledRelay, StagedRelay,
+};
+use crate::sim::Ev;
+use crate::{ScatternetSim, EVENT_KIND_NAMES};
 use btgs_des::SimTime;
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 
 /// Which causality invariant a [`SanitizerFinding`] violated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -207,33 +211,6 @@ impl EngineMutation {
     }
 }
 
-/// Event kinds as they appear in traces (mirrors the island event enum).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A source packet arrival.
-    Arrival,
-    /// A master wake/re-evaluation.
-    Wake,
-    /// An ACL exchange completion.
-    ExchangeDone,
-    /// An SCO reservation completion.
-    ScoDone,
-    /// A relayed packet landing in a flow queue.
-    Relay,
-}
-
-impl fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TraceKind::Arrival => "arrival",
-            TraceKind::Wake => "wake",
-            TraceKind::ExchangeDone => "exchange",
-            TraceKind::ScoDone => "sco",
-            TraceKind::Relay => "relay",
-        })
-    }
-}
-
 /// One traced island event, captured inside a bisection window.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
@@ -241,8 +218,8 @@ pub struct TraceEvent {
     pub index: u64,
     /// The event's simulated instant.
     pub at: SimTime,
-    /// The event kind.
-    pub kind: TraceKind,
+    /// The event-kind tag (an index into [`EVENT_KIND_NAMES`]).
+    pub kind: u8,
     /// Kind-specific identity (source index, SCO index, or flow index).
     pub a: u64,
     /// Kind-specific payload (packet sequence number, or instant nanos).
@@ -321,380 +298,185 @@ fn mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x100_0000_01b3)
 }
 
-/// The rolling hash after an event `(t, kind, a, b)` on top of `h`.
+/// The rolling hash after an event `(t, tag, a, b)` on top of `h`.
 #[inline]
-pub(crate) fn event_hash(h: u64, t_nanos: u64, kind: TraceKind, a: u64, b: u64) -> u64 {
-    mix(mix(mix(mix(h, t_nanos), kind as u64), a), b)
+fn event_hash(h: u64, t_nanos: u64, tag: u8, a: u64, b: u64) -> u64 {
+    mix(mix(mix(mix(h, t_nanos), u64::from(tag)), a), b)
 }
 
-/// Per-island instrumentation state, boxed behind
-/// `IslandState::probe` — `None` (one machine word, no allocation) in
-/// default runs; the instrumented handler is a separate monomorphisation,
-/// so the default engine never even tests the option.
-pub(crate) struct IslandProbe {
-    pic: u16,
-    sanitize: bool,
-    tripped: Rc<Cell<bool>>,
+/// The bisector's recorder: per-island rolling event hashes and times,
+/// and the descriptors inside one island's capture window.
+pub(crate) struct BisectTrace {
+    config: TraceConfig,
+    /// Rolling hash of each island, indexed by piconet.
+    hash: Vec<u64>,
+    islands: Vec<IslandTrace>,
+}
+
+impl BisectTrace {
+    pub(crate) fn new(islands: usize, config: TraceConfig) -> BisectTrace {
+        let mut traces = vec![IslandTrace::default(); islands];
+        if let Some(w) = config.window {
+            if let Some(t) = traces.get_mut(w.island as usize) {
+                t.window.reserve(w.len as usize);
+            }
+        }
+        BisectTrace {
+            config,
+            hash: vec![0; islands],
+            islands: traces,
+        }
+    }
+
+    pub(crate) fn into_trace(self) -> RunTrace {
+        RunTrace {
+            islands: self.islands,
+        }
+    }
+}
+
+impl EngineObserver for BisectTrace {
+    fn on_event(&mut self, pic: u16, t: SimTime, ev: &Ev) {
+        let trace = &mut self.islands[pic as usize];
+        let index = trace.events;
+        trace.events += 1;
+        let window = self.config.window.filter(|w| w.island == pic);
+        if !self.config.hashes && window.is_none() {
+            return;
+        }
+        let (kind, a, b) = event_descriptor(ev);
+        let t_nanos = nanos_of(t);
+        let hash = &mut self.hash[pic as usize];
+        *hash = event_hash(*hash, t_nanos, kind, a, b);
+        if self.config.hashes {
+            trace.hashes.push(*hash);
+            trace.times.push(t_nanos);
+        }
+        if let Some(w) = window {
+            if index >= w.start && index < w.start + w.len {
+                trace.window.push(TraceEvent {
+                    index,
+                    at: t,
+                    kind,
+                    a,
+                    b,
+                    hash: *hash,
+                });
+            }
+        }
+    }
+}
+
+/// The per-island state of the sanitizer's wheel-FIFO checks.
+#[derive(Default)]
+struct IslandChecks {
+    /// Findings on this island, reported after the coordinator's.
     findings: Vec<SanitizerFinding>,
     /// Monotone-clock watermark: the last handled event's instant.
     last_event: Option<SimTime>,
     /// Wheel-FIFO expectations: event-time nanos → FIFO of
     /// `(flow_idx, packet seq)` in scheduling order.
     expect: BTreeMap<u64, VecDeque<(u32, u64)>>,
-    /// Cross-island relays this island staged, total and per target flow
-    /// (`(target piconet, flow_idx)`), counted at staging time.
+}
+
+/// The causality sanitizer as an engine observer: the per-island
+/// wheel-FIFO checks, the coordinator's checks of the staged-relay pool
+/// and the injections, and the end-of-run conservation reconciliation.
+/// Any finding halts the engine at the end of the current round.
+pub(crate) struct Sanitizer {
+    halted: bool,
+    /// Coordinator findings (pool, injections, conservation).
+    findings: Vec<SanitizerFinding>,
+    islands: Vec<IslandChecks>,
+    events: u64,
+    /// Cross-island relays staged by the islands, total and per target
+    /// flow (`(target piconet, flow_idx)`), counted at staging time.
     staged_total: u64,
     staged_by_flow: BTreeMap<(u16, u32), u64>,
-    events: u64,
-    trace_hashes: bool,
-    trace_window: Option<(u64, u64)>,
-    hash: u64,
-    hashes: Vec<u64>,
-    times: Vec<u64>,
-    window: Vec<TraceEvent>,
-    /// Trace and meter capture for this island — `None` unless the run
-    /// was started through `run_observed`.
-    obs: Option<IslandObs>,
-}
-
-impl IslandProbe {
-    pub(crate) fn new(
-        pic: u16,
-        tripped: Rc<Cell<bool>>,
-        sanitize: bool,
-        trace: Option<&TraceConfig>,
-        obs: Option<IslandObs>,
-    ) -> IslandProbe {
-        let trace_window = trace
-            .and_then(|c| c.window)
-            .filter(|w| w.island == pic)
-            .map(|w| (w.start, w.len));
-        IslandProbe {
-            pic,
-            sanitize,
-            tripped,
-            findings: Vec::new(),
-            last_event: None,
-            expect: BTreeMap::new(),
-            staged_total: 0,
-            staged_by_flow: BTreeMap::new(),
-            events: 0,
-            trace_hashes: trace.is_some_and(|c| c.hashes),
-            trace_window,
-            hash: 0,
-            hashes: Vec::new(),
-            times: Vec::new(),
-            window: Vec::with_capacity(trace_window.map_or(0, |(_, len)| len as usize)),
-            obs,
-        }
-    }
-
-    fn report(&mut self, check: SanitizerCheck, at: SimTime, message: String) {
-        self.findings.push(SanitizerFinding {
-            check,
-            island: self.pic,
-            at,
-            message,
-        });
-        // The halt flag the round loop polls between rounds.
-        self.tripped.set(true);
-    }
-
-    /// Called by the instrumented handler for every island event, with
-    /// the scheduler clock already set to the event's instant.
-    pub(crate) fn on_event(&mut self, t: SimTime, kind: TraceKind, a: u64, b: u64) {
-        self.events += 1;
-        let t_nanos = crate::scatternet::nanos_of(t);
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from island_handle, itself
-            // behind the `I` const-generic seam.
-            obs.on_event(t, kind, a, b);
-        }
-        if self.sanitize {
-            if let Some(last) = self.last_event {
-                if t < last {
-                    self.report(
-                        SanitizerCheck::WheelFifo,
-                        t,
-                        format!("event time went backwards: {t} after {last}"),
-                    );
-                }
-            }
-            self.last_event = Some(t);
-            if kind == TraceKind::Relay {
-                let expected = self.expect.get_mut(&t_nanos).and_then(|q| q.pop_front());
-                match expected {
-                    Some((flow_idx, seq)) if u64::from(flow_idx) == a && seq == b => {}
-                    Some((flow_idx, seq)) => self.report(
-                        SanitizerCheck::WheelFifo,
-                        t,
-                        format!(
-                            "relay fired out of scheduling order within its timestamp: \
-                             got flow {a} seq {b}, expected flow {flow_idx} seq {seq}"
-                        ),
-                    ),
-                    None => self.report(
-                        SanitizerCheck::WheelFifo,
-                        t,
-                        format!("relay for flow {a} seq {b} fired with no matching schedule"),
-                    ),
-                }
-                if self.expect.get(&t_nanos).is_some_and(VecDeque::is_empty) {
-                    self.expect.remove(&t_nanos);
-                }
-            }
-        }
-        if self.trace_hashes || self.trace_window.is_some() {
-            self.hash = event_hash(self.hash, t_nanos, kind, a, b);
-            if self.trace_hashes {
-                self.hashes.push(self.hash);
-                self.times.push(t_nanos);
-            }
-            if let Some((start, len)) = self.trace_window {
-                let index = self.events - 1;
-                if index >= start && index < start + len {
-                    self.window.push(TraceEvent {
-                        index,
-                        at: t,
-                        kind,
-                        a,
-                        b,
-                        hash: self.hash,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Records a relay scheduled into this island's own wheel (master
-    /// relays and coordinator injections): the wheel-FIFO expectation.
-    pub(crate) fn on_scheduled_relay(&mut self, at: SimTime, flow_idx: u32, seq: u64) {
-        if self.sanitize {
-            self.expect
-                .entry(crate::scatternet::nanos_of(at))
-                .or_default()
-                .push_back((flow_idx, seq));
-        }
-    }
-
-    /// Called by the instrumented handler after each event's handler
-    /// returns — closes the per-event cost meter, if one is attached.
-    pub(crate) fn after_event(&mut self) {
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from island_handle, itself
-            // behind the `I` const-generic seam.
-            obs.after_event();
-        }
-    }
-
-    /// Records a cross-island relay this island staged for the
-    /// coordinator.
-    pub(crate) fn on_staged(&mut self, target_pic: u16, flow_idx: u32, at: SimTime, seq: u64) {
-        if self.sanitize {
-            self.staged_total += 1;
-            *self
-                .staged_by_flow
-                .entry((target_pic, flow_idx))
-                .or_default() += 1;
-        }
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from route_captures, itself
-            // behind the `I` const-generic seam.
-            obs.on_staged(target_pic, flow_idx, at, seq);
-        }
-    }
-
-    /// Called once per coordinator claim after this island ran to the
-    /// phase boundary `b`, with the events it processed in the claim and
-    /// the island wheel's live count.
-    pub(crate) fn on_island_ran(&mut self, b: SimTime, events: u64, live: u64) {
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from island_status_after_run,
-            // itself behind the `I` const-generic seam.
-            obs.on_island_ran(b, events, live);
-        }
-    }
-
-    pub(crate) fn take_obs(&mut self) -> Option<IslandObs> {
-        self.obs.take()
-    }
-
-    pub(crate) fn events(&self) -> u64 {
-        self.events
-    }
-
-    pub(crate) fn staged_total(&self) -> u64 {
-        self.staged_total
-    }
-
-    pub(crate) fn staged_by_flow(&self) -> &BTreeMap<(u16, u32), u64> {
-        &self.staged_by_flow
-    }
-
-    pub(crate) fn take_findings(&mut self) -> Vec<SanitizerFinding> {
-        std::mem::take(&mut self.findings)
-    }
-
-    pub(crate) fn take_trace(&mut self) -> IslandTrace {
-        IslandTrace {
-            hashes: std::mem::take(&mut self.hashes),
-            times: std::mem::take(&mut self.times),
-            window: std::mem::take(&mut self.window),
-            events: self.events,
-        }
-    }
-}
-
-/// Coordinator-side sanitizer state: the checks that see the staged-relay
-/// pool and the injections (the per-island checks live in
-/// [`IslandProbe`]).
-pub(crate) struct EngineSanitizer {
-    tripped: Rc<Cell<bool>>,
-    findings: Vec<SanitizerFinding>,
+    /// Relays the coordinator pool received.
+    received_total: u64,
     /// The last injected `(handoff, source, seq)` key — the global total
     /// order.
     last_key: Option<(SimTime, u16, u64)>,
     /// `(source, seq)` of every injection, for duplicate detection.
     injected_keys: BTreeSet<(u16, u64)>,
-    received_total: u64,
-    injected_total: u64,
     injected_by_flow: BTreeMap<(u16, u32), u64>,
     leftover_by_flow: BTreeMap<(u16, u32), u64>,
 }
 
-impl EngineSanitizer {
-    pub(crate) fn new(tripped: Rc<Cell<bool>>) -> EngineSanitizer {
-        EngineSanitizer {
-            tripped,
+impl Sanitizer {
+    pub(crate) fn new(islands: usize) -> Sanitizer {
+        Sanitizer {
+            halted: false,
             findings: Vec::new(),
+            islands: (0..islands).map(|_| IslandChecks::default()).collect(),
+            events: 0,
+            staged_total: 0,
+            staged_by_flow: BTreeMap::new(),
+            received_total: 0,
             last_key: None,
             injected_keys: BTreeSet::new(),
-            received_total: 0,
-            injected_total: 0,
             injected_by_flow: BTreeMap::new(),
             leftover_by_flow: BTreeMap::new(),
         }
     }
 
-    pub(crate) fn tripped(&self) -> bool {
-        self.tripped.get()
-    }
-
-    fn report(&mut self, check: SanitizerCheck, island: u16, at: SimTime, message: String) {
-        self.findings.push(SanitizerFinding {
+    /// Records a finding: on island `island`'s list, or the coordinator's
+    /// when `island` is `None` (`on` names the island the finding surfaced
+    /// on there, `u16::MAX` for run-global findings).
+    fn report(
+        &mut self,
+        island: Option<u16>,
+        check: SanitizerCheck,
+        on: u16,
+        at: SimTime,
+        message: String,
+    ) {
+        let finding = SanitizerFinding {
             check,
-            island,
+            island: on,
             at,
             message,
-        });
-        self.tripped.set(true);
+        };
+        match island {
+            Some(pic) => self.islands[pic as usize].findings.push(finding),
+            None => self.findings.push(finding),
+        }
+        self.halted = true;
     }
 
-    /// Checks one staged relay drained from island `source` at phase
-    /// boundary `b`: a handoff before `b` means the phase stretched across
-    /// a boundary this relay lands on.
-    pub(crate) fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
-        self.received_total += 1;
-        if at < b {
-            self.report(
-                SanitizerCheck::WideningBoundary,
-                source,
-                at,
-                format!(
-                    "phase ran to {b} across a boundary a staged relay lands on \
-                     (handoff {at} < phase end)"
-                ),
+    /// End-of-run conservation reconciliation, then the final report:
+    /// coordinator findings first, then per-island findings in piconet
+    /// order.
+    pub(crate) fn into_report(mut self) -> SanitizerReport {
+        if self.staged_total != self.received_total {
+            let message = format!(
+                "islands staged {} relays but the coordinator pool received {}",
+                self.staged_total, self.received_total
             );
-        }
-    }
-
-    /// Checks one pooled relay about to be injected. Returns `false` when
-    /// the injection would violate lookahead safety (the caller withholds
-    /// the schedule; the run is halting at this finding anyway).
-    pub(crate) fn check_injection(
-        &mut self,
-        key: (SimTime, u16, u64),
-        target: (u16, u32),
-        target_now: SimTime,
-    ) -> bool {
-        let (at, source, seq) = key;
-        if let Some(last) = self.last_key {
-            if key <= last {
-                self.report(
-                    SanitizerCheck::InjectionOrder,
-                    target.0,
-                    at,
-                    format!(
-                        "injection key (at {at}, source {source}, seq {seq}) is not \
-                         strictly after (at {}, source {}, seq {})",
-                        last.0, last.1, last.2
-                    ),
-                );
-            }
-        }
-        self.last_key = Some(key);
-        if !self.injected_keys.insert((source, seq)) {
             self.report(
-                SanitizerCheck::Conservation,
-                target.0,
-                at,
-                format!("relay (source {source}, seq {seq}) injected twice"),
-            );
-        }
-        self.injected_total += 1;
-        *self.injected_by_flow.entry(target).or_default() += 1;
-        if at < target_now {
-            self.report(
-                SanitizerCheck::LookaheadSafety,
-                target.0,
-                at,
-                format!("relay handoff {at} is behind the target island's clock {target_now}"),
-            );
-            return false;
-        }
-        true
-    }
-
-    /// Records a relay still pooled (or withheld by a mutation) when the
-    /// run ended — legitimate for handoffs past the horizon.
-    pub(crate) fn on_leftover(&mut self, target: (u16, u32)) {
-        *self.leftover_by_flow.entry(target).or_default() += 1;
-    }
-
-    /// End-of-run conservation reconciliation against every island's
-    /// staging counts.
-    pub(crate) fn finish(&mut self, probes: &[IslandProbe]) {
-        let staged_total: u64 = probes.iter().map(IslandProbe::staged_total).sum();
-        let mut staged_by_flow: BTreeMap<(u16, u32), u64> = BTreeMap::new();
-        for p in probes {
-            for (&flow, &n) in p.staged_by_flow() {
-                *staged_by_flow.entry(flow).or_default() += n;
-            }
-        }
-        if staged_total != self.received_total {
-            self.report(
+                None,
                 SanitizerCheck::Conservation,
                 u16::MAX,
                 SimTime::MAX,
-                format!(
-                    "islands staged {staged_total} relays but the coordinator pool \
-                     received {}",
-                    self.received_total
-                ),
+                message,
             );
         }
-        let flows: BTreeSet<(u16, u32)> = staged_by_flow
+        let flows: BTreeSet<(u16, u32)> = self
+            .staged_by_flow
             .keys()
             .chain(self.injected_by_flow.keys())
             .chain(self.leftover_by_flow.keys())
             .copied()
             .collect();
         for flow in flows {
-            let staged = staged_by_flow.get(&flow).copied().unwrap_or(0);
-            let injected = self.injected_by_flow.get(&flow).copied().unwrap_or(0);
-            let leftover = self.leftover_by_flow.get(&flow).copied().unwrap_or(0);
+            let count = |m: &BTreeMap<(u16, u32), u64>| m.get(&flow).copied().unwrap_or(0);
+            let staged = count(&self.staged_by_flow);
+            let injected = count(&self.injected_by_flow);
+            let leftover = count(&self.leftover_by_flow);
             if staged != injected + leftover {
                 self.report(
+                    None,
                     SanitizerCheck::Conservation,
                     flow.0,
                     SimTime::MAX,
@@ -706,21 +488,119 @@ impl EngineSanitizer {
                 );
             }
         }
-    }
-
-    /// Assembles the final report, folding in every island probe's
-    /// findings (piconet order) after the coordinator's own.
-    pub(crate) fn into_report(mut self, probes: &mut [IslandProbe]) -> SanitizerReport {
-        let mut findings = std::mem::take(&mut self.findings);
-        for p in probes.iter_mut() {
-            findings.append(&mut p.take_findings());
+        let mut findings = self.findings;
+        for island in &mut self.islands {
+            findings.append(&mut island.findings);
         }
         SanitizerReport {
             findings,
-            events_checked: probes.iter().map(IslandProbe::events).sum(),
+            events_checked: self.events,
             relays_tracked: self.received_total,
             relays_leftover: self.leftover_by_flow.values().sum(),
         }
+    }
+}
+
+impl EngineObserver for Sanitizer {
+    fn on_event(&mut self, pic: u16, t: SimTime, ev: &Ev) {
+        self.events += 1;
+        let checks = &mut self.islands[pic as usize];
+        let last = checks.last_event.replace(t);
+        if let Some(last) = last.filter(|&last| t < last) {
+            let message = format!("event time went backwards: {t} after {last}");
+            self.report(Some(pic), SanitizerCheck::WheelFifo, pic, t, message);
+        }
+        let Ev::Relay { .. } = ev else {
+            return;
+        };
+        let (_, a, b) = event_descriptor(ev);
+        let t_nanos = nanos_of(t);
+        let checks = &mut self.islands[pic as usize];
+        let expected = checks
+            .expect
+            .get_mut(&t_nanos)
+            .and_then(VecDeque::pop_front);
+        if checks.expect.get(&t_nanos).is_some_and(VecDeque::is_empty) {
+            checks.expect.remove(&t_nanos);
+        }
+        let message = match expected {
+            Some((flow_idx, seq)) if u64::from(flow_idx) == a && seq == b => return,
+            Some((flow_idx, seq)) => format!(
+                "relay fired out of scheduling order within its timestamp: \
+                 got flow {a} seq {b}, expected flow {flow_idx} seq {seq}"
+            ),
+            None => format!("relay for flow {a} seq {b} fired with no matching schedule"),
+        };
+        self.report(Some(pic), SanitizerCheck::WheelFifo, pic, t, message);
+    }
+
+    fn on_scheduled_relay(&mut self, pic: u16, at: SimTime, flow_idx: u32, seq: u64) {
+        self.islands[pic as usize]
+            .expect
+            .entry(nanos_of(at))
+            .or_default()
+            .push_back((flow_idx, seq));
+    }
+
+    fn on_staged(&mut self, _pic: u16, relay: &StagedRelay) {
+        self.staged_total += 1;
+        *self
+            .staged_by_flow
+            .entry((relay.pic, relay.flow_idx))
+            .or_default() += 1;
+    }
+
+    /// A handoff before the boundary `b` it was collected at means the
+    /// phase stretched across a boundary this relay lands on.
+    fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
+        self.received_total += 1;
+        if at < b {
+            let message = format!(
+                "phase ran to {b} across a boundary a staged relay lands on \
+                 (handoff {at} < phase end)"
+            );
+            self.report(None, SanitizerCheck::WideningBoundary, source, at, message);
+        }
+    }
+
+    /// Checks the total injection order, duplication and lookahead safety
+    /// against the target island's clock.
+    fn check_injection(&mut self, relay: &PooledRelay, target: &IslandSim) -> bool {
+        let key = (relay.at, relay.source, relay.seq);
+        let (at, source, seq) = key;
+        let flow = (relay.relay.pic, relay.relay.flow_idx);
+        if let Some(last) = self.last_key.filter(|&last| key <= last) {
+            let message = format!(
+                "injection key (at {at}, source {source}, seq {seq}) is not \
+                 strictly after (at {}, source {}, seq {})",
+                last.0, last.1, last.2
+            );
+            self.report(None, SanitizerCheck::InjectionOrder, flow.0, at, message);
+        }
+        self.last_key = Some(key);
+        if !self.injected_keys.insert((source, seq)) {
+            let message = format!("relay (source {source}, seq {seq}) injected twice");
+            self.report(None, SanitizerCheck::Conservation, flow.0, at, message);
+        }
+        *self.injected_by_flow.entry(flow).or_default() += 1;
+        let now = target.now();
+        if at < now {
+            let message = format!("relay handoff {at} is behind the target island's clock {now}");
+            self.report(None, SanitizerCheck::LookaheadSafety, flow.0, at, message);
+            return false;
+        }
+        true
+    }
+
+    fn on_leftover(&mut self, relay: &PooledRelay) {
+        *self
+            .leftover_by_flow
+            .entry((relay.relay.pic, relay.relay.flow_idx))
+            .or_default() += 1;
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
     }
 }
 
@@ -776,9 +656,9 @@ impl BisectReport {
         let row = |ev: Option<&TraceEvent>| -> String {
             match ev {
                 Some(e) => format!(
-                    "{} {:>9} a={} b={} {:08x}",
+                    "{} {:>13} a={} b={} {:08x}",
                     e.at,
-                    e.kind.to_string(),
+                    EVENT_KIND_NAMES[usize::from(e.kind)],
                     e.a,
                     e.b,
                     e.hash >> 32
@@ -907,11 +787,11 @@ mod tests {
 
     #[test]
     fn event_hash_separates_fields() {
-        let h = event_hash(0, 100, TraceKind::Relay, 1, 2);
-        assert_ne!(h, event_hash(0, 100, TraceKind::Relay, 2, 1));
-        assert_ne!(h, event_hash(0, 101, TraceKind::Relay, 1, 2));
-        assert_ne!(h, event_hash(0, 100, TraceKind::Arrival, 1, 2));
-        assert_ne!(h, event_hash(1, 100, TraceKind::Relay, 1, 2));
+        let h = event_hash(0, 100, 4, 1, 2);
+        assert_ne!(h, event_hash(0, 100, 4, 2, 1));
+        assert_ne!(h, event_hash(0, 101, 4, 1, 2));
+        assert_ne!(h, event_hash(0, 100, 0, 1, 2));
+        assert_ne!(h, event_hash(1, 100, 4, 1, 2));
     }
 
     #[test]

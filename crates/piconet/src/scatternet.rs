@@ -68,22 +68,16 @@ use crate::flow_table::{FlowIdHasher, FlowIdx, FlowTable};
 use crate::poller::Poller;
 use crate::report::RunReport;
 use crate::sanitizer::{
-    EngineMutation, EngineSanitizer, IslandProbe, RunTrace, SanitizedRun, SanitizerReport,
-    TraceConfig, TraceKind,
+    BisectTrace, EngineMutation, RunTrace, SanitizedRun, Sanitizer, TraceConfig,
 };
 use crate::sim::{handle, seed_world, Ev, Target, World};
-use crate::telemetry::{
-    CoordObs, EventMeter, Histo32, IslandObs, ObsConfig, ObservedParts, ObservedRun,
-    TelemetryReport,
-};
+use crate::telemetry::{EventMeter, ObsConfig, ObservedRun, TelemetryReport, Tracer};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
-use btgs_des::{DetRng, EventQueue, QueueOccupancy, Scheduler, SimDuration, SimTime, Simulator};
+use btgs_des::{DetRng, EventQueue, Scheduler, SimDuration, SimTime, Simulator};
 use btgs_metrics::DelayStats;
 use btgs_traffic::{AppPacket, FlowId, Source};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
-use std::rc::Rc;
 
 /// How one global flow id resolves to its shard. Mirrors the dense/spread
 /// split of the per-piconet id index.
@@ -351,16 +345,16 @@ enum HopNext {
 /// A relay crossing an island boundary, staged until the end of the
 /// current phase and injected into the target island by the coordinator.
 #[derive(Clone, Copy, Debug)]
-struct StagedRelay {
+pub(crate) struct StagedRelay {
     /// Handoff instant (the bridge's next appearance in the target
     /// piconet). Conservative phase boundaries guarantee `at >= B`.
-    at: SimTime,
+    pub(crate) at: SimTime,
     /// Target piconet.
-    pic: u16,
+    pub(crate) pic: u16,
     /// Dense index of the target hop flow in its piconet.
-    flow_idx: u32,
+    pub(crate) flow_idx: u32,
     /// The packet, restamped with the target flow id and handoff arrival.
-    pkt: AppPacket,
+    pub(crate) pkt: AppPacket,
     /// First-hop arrival of the packet's chain (for end-to-end delay).
     origin: SimTime,
 }
@@ -382,7 +376,7 @@ struct ChainLocal {
 
 /// One piconet's island: its [`World`] plus the relay fabric it can see
 /// without touching any other island.
-struct IslandState {
+pub(crate) struct IslandState {
     world: World,
     /// This island's piconet id.
     pic: u16,
@@ -409,57 +403,122 @@ struct IslandState {
     warmup: SimTime,
     /// This island's share of each chain's statistics.
     chain_stats: Vec<ChainLocal>,
-    /// Instrumentation hook of the sanitizer/bisector seam: `None` (one
-    /// machine word, no allocation) on default runs, installed by the
-    /// instrumented run paths. The uninstrumented handler
-    /// monomorphisation never reads it.
-    probe: Option<Box<IslandProbe>>,
 }
+
+/// The scheduler of one island.
+pub(crate) type IslandScheduler = Scheduler<Ev, EventQueue<Ev>>;
 
 /// One island: a full single-piconet simulator (own timing wheel, own
 /// clock) over an [`IslandState`].
-type IslandSim = Simulator<IslandState, Ev, EventQueue<Ev>>;
+pub(crate) type IslandSim = Simulator<IslandState, Ev, EventQueue<Ev>>;
 
-/// The per-event handler of one island: the single-piconet handler
-/// verbatim, plus capture routing against island-local state only.
+/// What the sanitizer, the bisector's trace, the telemetry histograms
+/// and the tracer see of one run. Every hook does nothing by default,
+/// and plain runs instantiate the engine with `()`, so their hooks
+/// compile to nothing. Island hooks name the island by piconet id;
+/// observers keep per-island state in a `Vec` indexed by it. Hooks only
+/// read the engine, with one exception: [`check_injection`] may withhold
+/// an injection behind the target island's clock, which only the
+/// deliberately broken corpus engines ever attempt.
 ///
-/// `I` selects the instrumented monomorphisation (sanitizer/trace probes
-/// on every event). Default runs use `I = false`, which compiles to
-/// exactly the pre-seam handler — the zero-allocation gate and the
-/// steady-state benches run that code path.
-fn island_handle<const I: bool>(
-    sched: &mut Scheduler<Ev, EventQueue<Ev>>,
-    st: &mut IslandState,
-    ev: Ev,
-) {
-    if I {
-        if let Some(probe) = st.probe.as_deref_mut() {
-            let (kind, a, b) = trace_descriptor(&ev);
-            probe.on_event(sched.now(), kind, a, b);
-        }
+/// [`check_injection`]: EngineObserver::check_injection
+pub(crate) trait EngineObserver {
+    /// Island `pic` is about to handle `ev`, due at `t`.
+    #[inline]
+    fn on_event(&mut self, _pic: u16, _t: SimTime, _ev: &Ev) {}
+
+    /// Island `pic`'s handler and capture routing returned.
+    #[inline]
+    fn after_event(&mut self, _pic: u16) {}
+
+    /// A relay (master relay or injection) was scheduled into island
+    /// `pic`'s own wheel.
+    #[inline]
+    fn on_scheduled_relay(&mut self, _pic: u16, _at: SimTime, _flow_idx: u32, _seq: u64) {}
+
+    /// Island `pic` staged a cross-island relay for the coordinator.
+    #[inline]
+    fn on_staged(&mut self, _pic: u16, _relay: &StagedRelay) {}
+
+    /// Island `pic` ran to boundary `b`, processing `events` in this
+    /// claim; `sched` is its scheduler after the run.
+    #[inline]
+    fn on_claim(&mut self, _pic: u16, _b: SimTime, _events: u64, _sched: &IslandScheduler) {}
+
+    /// A relay staged by `source` with handoff `at` was collected into
+    /// the pool at boundary `b`.
+    #[inline]
+    fn on_collected(&mut self, _b: SimTime, _source: u16, _at: SimTime) {}
+
+    /// Phase `[t, b]` closed: `active` islands claimed, `skipped` idle,
+    /// `pool_len` relays pooled after the collect, and whether adaptive
+    /// widening stretched it past a calendar start. Every argument is
+    /// derived from visit-order-invariant engine state.
+    #[inline]
+    fn on_phase(
+        &mut self,
+        _t: SimTime,
+        _b: SimTime,
+        _active: u64,
+        _skipped: u64,
+        _pool_len: usize,
+        _stretched: bool,
+    ) {
     }
-    handle(sched, &mut st.world, ev);
-    if !st.world.outbox.is_empty() {
-        route_captures::<I>(sched, st);
+
+    /// `relay` is due for injection into `target`; `false` withholds the
+    /// schedule (an injection behind the target's clock).
+    #[inline]
+    fn check_injection(&mut self, _relay: &PooledRelay, _target: &IslandSim) -> bool {
+        true
     }
-    if I {
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.after_event();
-        }
+
+    /// `relay` was injected at round clock `t`.
+    #[inline]
+    fn on_injected(&mut self, _t: SimTime, _relay: &PooledRelay) {}
+
+    /// `relay` was still pooled when the run ended.
+    #[inline]
+    fn on_leftover(&mut self, _relay: &PooledRelay) {}
+
+    /// `true` stops the engine at the end of the current round.
+    #[inline]
+    fn halted(&self) -> bool {
+        false
     }
 }
 
-/// The `(kind, a, b)` descriptor of an island event, as folded into the
-/// rolling trace hash — enough to identify the event in an aligned
-/// bisection window without storing packets.
-fn trace_descriptor(ev: &Ev) -> (TraceKind, u64, u64) {
-    match ev {
-        Ev::Arrival { source_idx, pkt } => (TraceKind::Arrival, *source_idx as u64, pkt.seq),
-        Ev::Wake => (TraceKind::Wake, 0, 0),
-        Ev::ExchangeDone => (TraceKind::ExchangeDone, 0, 0),
-        Ev::ScoDone { sco_idx, start } => (TraceKind::ScoDone, *sco_idx as u64, nanos_of(*start)),
-        Ev::Relay { flow_idx, pkt } => (TraceKind::Relay, *flow_idx as u64, pkt.seq),
+/// Plain runs: no instrumentation.
+impl EngineObserver for () {}
+
+/// The per-event handler of one island: the single-piconet handler
+/// verbatim, plus capture routing against island-local state only.
+fn island_handle<O: EngineObserver>(
+    sched: &mut IslandScheduler,
+    st: &mut IslandState,
+    ev: Ev,
+    obs: &mut O,
+) {
+    obs.on_event(st.pic, sched.now(), &ev);
+    handle(sched, &mut st.world, ev);
+    if !st.world.outbox.is_empty() {
+        route_captures(sched, st, obs);
     }
+    obs.after_event(st.pic);
+}
+
+/// The `(tag, a, b)` descriptor of an island event, as folded into the
+/// rolling trace hash — enough to identify the event in an aligned
+/// bisection window without storing packets. The tag indexes
+/// [`EVENT_KIND_NAMES`](crate::EVENT_KIND_NAMES).
+pub(crate) fn event_descriptor(ev: &Ev) -> (u8, u64, u64) {
+    let (a, b) = match ev {
+        Ev::Arrival { source_idx, pkt } => (*source_idx as u64, pkt.seq),
+        Ev::Wake | Ev::ExchangeDone => (0, 0),
+        Ev::ScoDone { sco_idx, start } => (*sco_idx as u64, nanos_of(*start)),
+        Ev::Relay { flow_idx, pkt } => (*flow_idx as u64, pkt.seq),
+    };
+    (btgs_des::Tagged::tag(ev), a, b)
 }
 
 /// Routes every packet the handler completed on a captured hop. In-island
@@ -468,7 +527,11 @@ fn trace_descriptor(ev: &Ev) -> (TraceKind, u64, u64) {
 /// draining (routing only schedules or stages), so the indexed loop is
 /// exact; `Captured` is `Copy`, so each read ends its borrow before the
 /// routing mutates the island.
-fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: &mut IslandState) {
+fn route_captures<O: EngineObserver>(
+    sched: &mut IslandScheduler,
+    st: &mut IslandState,
+    obs: &mut O,
+) {
     let captured = st.world.outbox.len();
     for i in 0..captured {
         let cap = st.world.outbox[i];
@@ -536,29 +599,22 @@ fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: 
                             pkt,
                         },
                     );
-                    if I {
-                        if let Some(probe) = st.probe.as_deref_mut() {
-                            probe.on_scheduled_relay(handoff, flow_idx, pkt.seq);
-                        }
-                    }
+                    obs.on_scheduled_relay(st.pic, handoff, flow_idx, pkt.seq);
                 } else {
                     // The packet leaves this island: it stops counting
                     // against the local chain backlog and is re-counted in
                     // the target island when the coordinator injects it.
                     debug_assert!(st.world.chain_inflight > 0);
                     st.world.chain_inflight = st.world.chain_inflight.saturating_sub(1);
-                    st.staged.push(StagedRelay {
+                    let relay = StagedRelay {
                         at: handoff,
                         pic,
                         flow_idx,
                         pkt,
                         origin,
-                    });
-                    if I {
-                        if let Some(probe) = st.probe.as_deref_mut() {
-                            probe.on_staged(pic, flow_idx, handoff, pkt.seq);
-                        }
-                    }
+                    };
+                    st.staged.push(relay);
+                    obs.on_staged(st.pic, &relay);
                 }
             }
         }
@@ -720,37 +776,17 @@ fn island_status(island: &mut IslandSim) -> (SimTime, SimTime, bool) {
     (next_event, hot_from, !st.staged.is_empty())
 }
 
-/// [`island_status`] at the end of a claimed run to boundary `b`, with the
-/// trace hook: under the instrumented monomorphisation the island's probe
-/// records the `[previous boundary, b]` run slice, the `events` it
-/// processed in this claim and its live wheel count. The default engine
-/// (`I = false`) compiles this down to plain [`island_status`].
-fn island_status_after_run<const I: bool>(
-    island: &mut IslandSim,
-    b: SimTime,
-    events: u64,
-) -> (SimTime, SimTime, bool) {
-    if I {
-        let (sched, st) = island.split_mut();
-        let live = sched.queue_occupancy().live as u64;
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.on_island_ran(b, events, live);
-        }
-    }
-    island_status(island)
-}
-
 /// A staged relay parked in the coordinator's pool until the global round
 /// clock reaches its handoff instant.
 #[derive(Clone)]
-struct PooledRelay {
+pub(crate) struct PooledRelay {
     /// Injection key: handoff instant, then source piconet, then staging
     /// sequence — the deterministic total order of same-instant
     /// injections.
-    at: SimTime,
-    source: u16,
-    seq: u64,
-    relay: StagedRelay,
+    pub(crate) at: SimTime,
+    pub(crate) source: u16,
+    pub(crate) seq: u64,
+    pub(crate) relay: StagedRelay,
 }
 
 /// Pool head-room: enough for every relay in flight across one rendezvous
@@ -781,21 +817,19 @@ fn sort_pool(pool: &mut [PooledRelay], unsorted: bool) {
     }
 }
 
-/// Drains one island's staged relays into the pool, tagging each with the
-/// island's monotone staging sequence. Returns how many were staged.
-/// The sanitizer (when attached to `ctl`) checks each drained relay's
-/// handoff against the phase boundary `b` — a handoff before `b` means
-/// the phase stretched across a boundary this relay lands on.
-fn collect_island(
+/// Drains one island's staged relays into the pool at boundary `b`,
+/// tagging each with the island's monotone staging sequence. Returns how
+/// many were staged.
+fn collect_island<O: EngineObserver>(
     st: &mut IslandState,
     pool: &mut Vec<PooledRelay>,
     b: SimTime,
-    ctl: &mut EngineCtl<'_>,
+    obs: &mut O,
 ) -> u64 {
     let pic = st.pic;
     let staged = st.staged.len() as u64;
     for (k, s) in st.staged.drain(..).enumerate() {
-        ctl.on_collected(b, pic, s.at);
+        obs.on_collected(b, pic, s.at);
         pool.push(PooledRelay {
             at: s.at,
             source: pic,
@@ -815,7 +849,7 @@ fn collect_island(
 /// holds identically across island visit orders and the
 /// widening/batching toggles, which is what makes the reports
 /// byte-identical across all of them.
-fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
+fn inject_relay<O: EngineObserver>(island: &mut IslandSim, relay: &StagedRelay, obs: &mut O) {
     let (sched, st) = island.split_mut();
     st.origins[relay.flow_idx as usize].push_back(relay.origin);
     // The packet is inside the target island again: it counts against the
@@ -835,53 +869,20 @@ fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
             pkt,
         },
     );
-    if I {
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.on_scheduled_relay(at, relay.flow_idx, relay.pkt.seq);
-        }
-    }
+    obs.on_scheduled_relay(st.pic, at, relay.flow_idx, relay.pkt.seq);
 }
 
-/// The engine's one counter set. The six counters are surfaced on
-/// [`ScatternetReport`]; the five histograms are recorded only for
-/// telemetry runs ([`EngineMode::telemetry`]) and surfaced, with the
-/// counters, as the [`TelemetryReport`] view. All of it is excluded from
-/// cross-configuration byte-identity digests the way `events_processed`
-/// is.
+/// The engine's one counter set, surfaced on [`ScatternetReport`] and
+/// excluded from cross-configuration byte-identity digests the way
+/// `events_processed` is.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct EngineCounters {
-    pub(crate) phases_run: u64,
-    pub(crate) islands_claimed: u64,
-    pub(crate) relays_staged: u64,
-    pub(crate) widening_stretches: u64,
-    pub(crate) islands_skipped_idle: u64,
-    pub(crate) relays_injected: u64,
-    /// Phase widths in nanoseconds, one sample per phase.
-    pub(crate) phase_width_ns: Histo32,
-    /// Staged-relay pool size after each phase's collect.
-    pub(crate) relay_pool: Histo32,
-    /// Island wheel live-event count after each claim.
-    pub(crate) wheel_pending: Histo32,
-    /// Island wheel near-horizon occupancy after each claim.
-    pub(crate) wheel_near: Histo32,
-    /// Events processed per island claim.
-    pub(crate) events_per_claim: Histo32,
-}
-
-impl EngineCounters {
-    /// Records one closed phase `[t, b)` and its post-collect pool size.
-    fn record_phase(&mut self, t: SimTime, b: SimTime, pool_len: usize) {
-        self.phase_width_ns.record(nanos_of(b) - nanos_of(t));
-        self.relay_pool.record(pool_len as u64);
-    }
-
-    /// Records one island claim: the events it processed and the
-    /// island's wheel occupancy after it.
-    fn record_claim(&mut self, events: u64, occ: QueueOccupancy) {
-        self.wheel_pending.record(occ.live as u64);
-        self.wheel_near.record(occ.near as u64);
-        self.events_per_claim.record(events);
-    }
+struct EngineCounters {
+    phases_run: u64,
+    islands_claimed: u64,
+    relays_staged: u64,
+    widening_stretches: u64,
+    islands_skipped_idle: u64,
+    relays_injected: u64,
 }
 
 /// The engine toggles (see [`ScatternetSim::with_phase_widening`] and
@@ -891,17 +892,15 @@ impl EngineCounters {
 struct EngineMode {
     widening: bool,
     batching: bool,
-    /// Record the per-phase and per-claim histograms of
-    /// [`EngineCounters`]; off for plain runs, which then do no extra
-    /// per-claim work.
-    telemetry: bool,
 }
 
 /// Test-only engine corruption state, driving one [`EngineMutation`]
 /// through the round loop (the seeded-mutation corpus the sanitizer and
-/// bisector are proven against).
-pub(crate) struct MutationState {
-    which: EngineMutation,
+/// bisector are proven against). `which` is `None` for every supported
+/// configuration, and every hook is then a no-op. Mutations steer the
+/// engine, so they are not [`EngineObserver`]s.
+struct MutationState {
+    which: Option<EngineMutation>,
     /// [`EngineMutation::RelayBehindClock`]: the withheld relay, released
     /// one boundary late.
     held: Option<PooledRelay>,
@@ -910,49 +909,25 @@ pub(crate) struct MutationState {
 }
 
 impl MutationState {
-    pub(crate) fn new(which: EngineMutation) -> MutationState {
+    fn new(which: Option<EngineMutation>) -> MutationState {
         MutationState {
             which,
             held: None,
             fired: false,
         }
     }
-}
-
-/// Per-run instrumentation control handed to the engine loop: the
-/// sanitizer (sanitized runs), the seeded mutation (corpus tests) and the
-/// coordinator-side trace recorder (observed runs). Default runs
-/// carry `None` in every field; every hook is a per-round or
-/// per-injection `Option` branch, never per event — the per-event seam is
-/// the `I` const generic on [`island_handle`].
-struct EngineCtl<'a> {
-    san: Option<&'a mut EngineSanitizer>,
-    muts: Option<&'a mut MutationState>,
-    obs: Option<&'a mut CoordObs>,
-}
-
-impl EngineCtl<'_> {
-    /// `true` once the sanitizer recorded any finding: the engine halts at
-    /// the end of the current round instead of cascading.
-    fn tripped(&self) -> bool {
-        self.san.as_deref().is_some_and(EngineSanitizer::tripped)
-    }
 
     /// [`EngineMutation::WideningPastHotBoundary`]: every island reads as
     /// never-hot, so the widened walk runs straight past boundaries that
     /// hot islands' staged relays land on.
     fn hot_blind(&self) -> bool {
-        self.muts
-            .as_deref()
-            .is_some_and(|m| m.which == EngineMutation::WideningPastHotBoundary)
+        self.which == Some(EngineMutation::WideningPastHotBoundary)
     }
 
     /// [`EngineMutation::UnsortedStagingDrain`]: break the pool sort's
     /// staging-sequence tie-break.
     fn unsorted(&self) -> bool {
-        self.muts
-            .as_deref()
-            .is_some_and(|m| m.which == EngineMutation::UnsortedStagingDrain)
+        self.which == Some(EngineMutation::UnsortedStagingDrain)
     }
 
     /// [`EngineMutation::BoundaryOffByOne`]: `true` when boundary `b` is a
@@ -967,9 +942,7 @@ impl EngineCtl<'_> {
         horizon: SimTime,
         pool_min: Option<SimTime>,
     ) -> bool {
-        self.muts
-            .as_deref()
-            .is_some_and(|m| m.which == EngineMutation::BoundaryOffByOne)
+        self.which == Some(EngineMutation::BoundaryOffByOne)
             && b < horizon
             && pool_min != Some(b)
             && (probed || b != checkpoint)
@@ -980,19 +953,16 @@ impl EngineCtl<'_> {
     /// the collected relays, so conservation is checked against the true
     /// staging counts.
     fn corrupt_pool(&mut self, pool: &mut Vec<PooledRelay>) {
-        let Some(m) = self.muts.as_deref_mut() else {
-            return;
-        };
-        if m.fired || pool.is_empty() {
+        if self.fired || pool.is_empty() {
             return;
         }
-        match m.which {
-            EngineMutation::DroppedRelay => {
-                m.fired = true;
+        match self.which {
+            Some(EngineMutation::DroppedRelay) => {
+                self.fired = true;
                 pool.pop();
             }
-            EngineMutation::DuplicatedRelay => {
-                m.fired = true;
+            Some(EngineMutation::DuplicatedRelay) => {
+                self.fired = true;
                 let dup = pool.last().expect("pool checked non-empty").clone();
                 pool.push(dup);
             }
@@ -1004,12 +974,9 @@ impl EngineCtl<'_> {
     /// from injection (returns `None`; the relay is parked in the
     /// mutation state).
     fn intercept(&mut self, p: PooledRelay) -> Option<PooledRelay> {
-        let Some(m) = self.muts.as_deref_mut() else {
-            return Some(p);
-        };
-        if m.which == EngineMutation::RelayBehindClock && !m.fired {
-            m.fired = true;
-            m.held = Some(p);
+        if self.which == Some(EngineMutation::RelayBehindClock) && !self.fired {
+            self.fired = true;
+            self.held = Some(p);
             return None;
         }
         Some(p)
@@ -1019,76 +986,10 @@ impl EngineCtl<'_> {
     /// at the first boundary past its handoff — an injection behind the
     /// target island's clock.
     fn release_due(&mut self, t: SimTime) -> Option<PooledRelay> {
-        let m = self.muts.as_deref_mut()?;
-        if m.held.as_ref().is_some_and(|h| h.at < t) {
-            m.held.take()
+        if self.held.as_ref().is_some_and(|h| h.at < t) {
+            self.held.take()
         } else {
             None
-        }
-    }
-
-    /// Forwards one collected relay to the sanitizer's widening-boundary
-    /// check (see [`collect_island`]).
-    fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_collected(b, source, at);
-        }
-    }
-
-    /// Runs the sanitizer's injection checks (total order, duplication,
-    /// lookahead safety against the target island's clock). `false` means
-    /// the injection would land behind the clock — the caller withholds
-    /// the schedule (the run is halting at this finding anyway).
-    fn check_injection(
-        &mut self,
-        key: (SimTime, u16, u64),
-        target: (u16, u32),
-        target_now: SimTime,
-    ) -> bool {
-        match self.san.as_deref_mut() {
-            Some(san) => san.check_injection(key, target, target_now),
-            None => true,
-        }
-    }
-
-    /// Records one closed phase on the coordinator trace recorder:
-    /// the `[t, b]` slice, the claim/skip split, the post-collect relay
-    /// pool occupancy and whether adaptive widening stretched the phase
-    /// past a calendar start. Every argument is derived from
-    /// visit-order-invariant engine state, so the recorded trace is
-    /// byte-identical across island visit orders.
-    fn on_phase(
-        &mut self,
-        t: SimTime,
-        b: SimTime,
-        active: u64,
-        skipped: u64,
-        pool_len: usize,
-        stretched: bool,
-    ) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_phase(t, b, active, skipped, pool_len, stretched);
-        }
-    }
-
-    /// Records one pooled-relay injection (target island and staging
-    /// sequence) on the coordinator trace recorder.
-    fn on_injected(&mut self, t: SimTime, target: u16, seq: u64) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_injected(t, target, seq);
-        }
-    }
-
-    /// Reports every relay still pooled at run end to the sanitizer's
-    /// conservation reconciliation (legitimate for handoffs past the
-    /// horizon). A relay still *held* by the behind-clock mutation is
-    /// deliberately not reported: a never-released hold must trip the
-    /// conservation check.
-    fn note_leftovers(&mut self, pool: &[PooledRelay]) {
-        if let Some(san) = self.san.as_deref_mut() {
-            for p in pool {
-                san.on_leftover((p.relay.pic, p.relay.flow_idx));
-            }
         }
     }
 }
@@ -1096,9 +997,9 @@ impl EngineCtl<'_> {
 /// The island engine: rounds of "pick the next boundary, run the islands
 /// with an event due by it (all of them with batching off) in visit
 /// order, collect the staged relays into the pool, inject the relays due
-/// at the boundary" until the horizon.
+/// at the boundary" until the horizon (or until `obs` halts it).
 #[allow(clippy::too_many_arguments)]
-fn run_phases<const I: bool>(
+fn run_phases<O: EngineObserver>(
     islands: &mut [IslandSim],
     order: &[usize],
     groups: &[SyncPoint],
@@ -1106,7 +1007,8 @@ fn run_phases<const I: bool>(
     horizon: SimTime,
     probe: &mut dyn FnMut(),
     mode: EngineMode,
-    ctl: &mut EngineCtl<'_>,
+    muts: &mut MutationState,
+    obs: &mut O,
 ) -> EngineCounters {
     let n = islands.len();
     let mut counters = EngineCounters::default();
@@ -1124,7 +1026,7 @@ fn run_phases<const I: bool>(
     let mut probed = false;
     loop {
         let pool_min = pool.last().map(|p| p.at);
-        let blind = ctl.hot_blind();
+        let blind = muts.hot_blind();
         let hot_of = |i: usize| if blind { SimTime::MAX } else { hot[i] };
         let mut b = next_boundary(
             t,
@@ -1136,7 +1038,7 @@ fn run_phases<const I: bool>(
             mode.widening,
             hot_of,
         );
-        if ctl.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
+        if muts.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
             b = next_boundary(
                 b,
                 checkpoint,
@@ -1166,11 +1068,10 @@ fn run_phases<const I: bool>(
                 continue;
             }
             let island = &mut islands[idx];
-            let events = island.run_until(b, island_handle::<I>);
-            if mode.telemetry {
-                counters.record_claim(events, island.scheduler_mut().queue_occupancy());
-            }
-            let (ne, hf, did_stage) = island_status_after_run::<I>(island, b, events);
+            let events = island.run_until(b, |s, st, ev| island_handle(s, st, ev, obs));
+            let pic = island.state().pic;
+            obs.on_claim(pic, b, events, island.scheduler_mut());
+            let (ne, hf, did_stage) = island_status(island);
             next_event[idx] = ne;
             hot[idx] = hf;
             staged[idx] |= did_stage;
@@ -1180,14 +1081,11 @@ fn run_phases<const I: bool>(
                 continue;
             }
             *flag = false;
-            counters.relays_staged += collect_island(islands[idx].state_mut(), &mut pool, b, ctl);
+            counters.relays_staged += collect_island(islands[idx].state_mut(), &mut pool, b, obs);
         }
-        sort_pool(&mut pool, ctl.unsorted());
-        ctl.corrupt_pool(&mut pool);
-        if mode.telemetry {
-            counters.record_phase(t, b, pool.len());
-        }
-        ctl.on_phase(
+        sort_pool(&mut pool, muts.unsorted());
+        muts.corrupt_pool(&mut pool);
+        obs.on_phase(
             t,
             b,
             active as u64,
@@ -1200,9 +1098,9 @@ fn run_phases<const I: bool>(
             probed = true;
         }
         t = b;
-        if let Some(h) = ctl.release_due(t) {
+        if let Some(h) = muts.release_due(t) {
             pool.push(h);
-            sort_pool(&mut pool, ctl.unsorted());
+            sort_pool(&mut pool, muts.unsorted());
         }
         // Inject every relay due now; it becomes live in the next round.
         // In the clean engine a due relay's handoff is exactly `t` (the
@@ -1215,34 +1113,31 @@ fn run_phases<const I: bool>(
         let mut due = false;
         while pool.last().is_some_and(|p| p.at <= t) {
             let p = pool.pop().expect("just peeked");
-            let Some(p) = ctl.intercept(p) else {
+            let Some(p) = muts.intercept(p) else {
                 continue;
             };
             let idx = p.relay.pic as usize;
             let island = &mut islands[idx];
-            let proceed = !I || {
-                let now = island.split_mut().0.now();
-                ctl.check_injection(
-                    (p.at, p.source, p.seq),
-                    (p.relay.pic, p.relay.flow_idx),
-                    now,
-                )
-            };
-            if proceed {
-                inject_relay::<I>(island, &p.relay);
+            if obs.check_injection(&p, island) {
+                inject_relay(island, &p.relay, obs);
                 counters.relays_injected += 1;
-                ctl.on_injected(t, p.relay.pic, p.seq);
+                obs.on_injected(t, &p);
             }
             next_event[idx] = next_event[idx].min(t);
             hot[idx] = SimTime::ZERO;
             due = true;
         }
-        if (t >= horizon && !due) || ctl.tripped() {
+        if (t >= horizon && !due) || obs.halted() {
             break;
         }
     }
     probe();
-    ctl.note_leftovers(&pool);
+    // A relay still *held* by the behind-clock mutation is deliberately
+    // not reported: a never-released hold must trip the sanitizer's
+    // conservation check.
+    for p in &pool {
+        obs.on_leftover(p);
+    }
     counters
 }
 
@@ -1344,19 +1239,6 @@ pub struct ScatternetSim {
     /// Test-only seeded engine corruption (see [`EngineMutation`]); `None`
     /// for every supported configuration.
     mutation: Option<EngineMutation>,
-}
-
-/// What [`ScatternetSim::run_inner`] hands back to its public wrappers:
-/// the report (withheld when the sanitizer halted the run), the sanitizer
-/// findings, the bisector event trace, the engine telemetry, and the
-/// trace rings and meters of an observed run — each populated only when
-/// requested.
-struct RunInnerOutput {
-    report: Option<ScatternetReport>,
-    sanitizer: Option<SanitizerReport>,
-    trace: Option<RunTrace>,
-    telemetry: Option<TelemetryReport>,
-    observed: Option<ObservedParts>,
 }
 
 impl ScatternetSim {
@@ -1619,7 +1501,6 @@ impl ScatternetSim {
                     entry_sources: Vec::new(),
                     warmup,
                     chain_stats,
-                    probe: None,
                 };
                 Simulator::with_queue(state, EventQueue::new())
             })
@@ -1733,19 +1614,16 @@ impl ScatternetSim {
         horizon: SimTime,
         probe: &mut dyn FnMut(),
     ) -> Result<ScatternetReport, PiconetError> {
-        let out = self.run_inner(checkpoint, horizon, probe, false, None, None, false)?;
-        Ok(out
-            .report
-            .expect("uninstrumented runs always carry a report"))
+        self.run_with(checkpoint, horizon, probe, &mut ())
     }
 
-    /// Runs to `horizon` on the plain (uninstrumented) engine and also
-    /// returns the engine telemetry ([`TelemetryReport`]): the engine's
-    /// counters plus its phase-width, relay-pool, wheel-occupancy and
-    /// per-claim histograms, recorded once per phase and once per island
-    /// claim — no per-event hook, no trace ring. The report is
-    /// byte-identical to [`run`](ScatternetSim::run)'s, and the telemetry
-    /// equals [`run_observed`](ScatternetSim::run_observed)'s.
+    /// Runs to `horizon` on the plain engine and also returns the engine
+    /// telemetry ([`TelemetryReport`]): the engine's counters plus its
+    /// phase-width, relay-pool, wheel-occupancy and per-claim histograms,
+    /// recorded once per phase and once per island claim — no per-event
+    /// hook, no trace ring. The report is byte-identical to
+    /// [`run`](ScatternetSim::run)'s, and the telemetry equals
+    /// [`run_observed`](ScatternetSim::run_observed)'s.
     ///
     /// # Errors
     ///
@@ -1754,11 +1632,10 @@ impl ScatternetSim {
         self,
         horizon: SimTime,
     ) -> Result<(ScatternetReport, TelemetryReport), PiconetError> {
-        let out = self.run_inner(horizon, horizon, &mut || {}, false, None, None, true)?;
-        Ok((
-            out.report.expect("telemetry runs always carry a report"),
-            out.telemetry.expect("telemetry runs carry their telemetry"),
-        ))
+        let mut telemetry = TelemetryReport::default();
+        let report = self.run_with(horizon, horizon, &mut || {}, &mut telemetry)?;
+        telemetry.fill_from(&report);
+        Ok((report, telemetry))
     }
 
     /// Runs to `horizon` with tracing enabled: a deterministic structured
@@ -1766,9 +1643,8 @@ impl ScatternetSim {
     /// byte-identical across island visit orders), plus the same engine
     /// telemetry as [`run_with_telemetry`](ScatternetSim::run_with_telemetry)
     /// with the rings' overflow count. Only the trace rings, fine events
-    /// and [`EventMeter`]s need the instrumented engine; every other run
-    /// compiles them out through the same const-generic seam as the
-    /// sanitizer.
+    /// and [`EventMeter`]s need per-event hooks; every other run compiles
+    /// them out.
     ///
     /// # Errors
     ///
@@ -1809,24 +1685,9 @@ impl ScatternetSim {
                 self.islands.len()
             )));
         }
-        let out = self.run_inner(
-            checkpoint,
-            horizon,
-            probe,
-            false,
-            None,
-            Some((cfg, meters)),
-            true,
-        )?;
-        let (trace, meters) = out.observed.expect("observed runs carry their outputs");
-        let mut telemetry = out.telemetry.expect("observed runs carry their telemetry");
-        telemetry.trace_dropped = trace.dropped;
-        Ok(ObservedRun {
-            report: out.report.expect("observed runs always carry a report"),
-            trace,
-            telemetry,
-            meters,
-        })
+        let mut tracer = Tracer::new(self.islands.len(), &cfg, meters);
+        let report = self.run_with(checkpoint, horizon, probe, &mut tracer)?;
+        Ok(tracer.finish(report))
     }
 
     /// Runs to `horizon` with the causality sanitizer enabled: per-phase
@@ -1843,12 +1704,12 @@ impl ScatternetSim {
     ///
     /// See [`ScatternetSim::run`].
     pub fn run_sanitized(self, horizon: SimTime) -> Result<SanitizedRun, PiconetError> {
-        let out = self.run_inner(horizon, horizon, &mut || {}, true, None, None, false)?;
+        let mut sanitizer = Sanitizer::new(self.islands.len());
+        let report = self.run_with(horizon, horizon, &mut || {}, &mut sanitizer)?;
+        let sanitizer = sanitizer.into_report();
         Ok(SanitizedRun {
-            report: out.report,
-            sanitizer: out
-                .sanitizer
-                .expect("sanitized runs carry a sanitizer report"),
+            report: sanitizer.clean().then_some(report),
+            sanitizer,
         })
     }
 
@@ -1866,19 +1727,9 @@ impl ScatternetSim {
         horizon: SimTime,
         trace: TraceConfig,
     ) -> Result<(ScatternetReport, RunTrace), PiconetError> {
-        let out = self.run_inner(
-            horizon,
-            horizon,
-            &mut || {},
-            false,
-            Some(trace),
-            None,
-            false,
-        )?;
-        Ok((
-            out.report.expect("traced runs always carry a report"),
-            out.trace.expect("traced runs carry a trace"),
-        ))
+        let mut recorder = BisectTrace::new(self.islands.len(), trace);
+        let report = self.run_with(horizon, horizon, &mut || {}, &mut recorder)?;
+        Ok((report, recorder.into_trace()))
     }
 
     /// Seeds one deliberately broken engine variant (builder style).
@@ -1891,26 +1742,15 @@ impl ScatternetSim {
         self
     }
 
-    /// The shared run loop behind [`run_probed`](ScatternetSim::run_probed)
-    /// and [`run_with_telemetry`](ScatternetSim::run_with_telemetry)
-    /// (uninstrumented), [`run_observed_probed`](ScatternetSim::run_observed_probed),
-    /// [`run_sanitized`](ScatternetSim::run_sanitized) and
-    /// [`run_traced`](ScatternetSim::run_traced): seeds the islands, runs
-    /// the phase loop (instrumented monomorphisation only when
-    /// sanitizing, tracing or observing; histograms only with
-    /// `telemetry`), and assembles the report plus whatever
-    /// instrumentation output was requested.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
+    /// The run loop behind every public `run_*`: seeds the islands, runs
+    /// the phase loop under observer `obs` and assembles the report.
+    fn run_with<O: EngineObserver>(
         mut self,
         checkpoint: SimTime,
         horizon: SimTime,
         probe: &mut dyn FnMut(),
-        sanitize: bool,
-        trace: Option<TraceConfig>,
-        obs: Option<(ObsConfig, Vec<Box<dyn EventMeter>>)>,
-        telemetry: bool,
-    ) -> Result<RunInnerOutput, PiconetError> {
+        obs: &mut O,
+    ) -> Result<ScatternetReport, PiconetError> {
         // `self` is consumed, so a sim cannot run twice by construction.
         for (pic, island) in self.islands.iter_mut().enumerate() {
             let fed = &self.relay_fed[pic];
@@ -1933,43 +1773,6 @@ impl ScatternetSim {
                 .collect();
         }
 
-        // Instrumentation: install the per-island probes (sanitizer state,
-        // bisector hashes, trace rings and meters) and the coordinator-side
-        // control. All of it is behind the `I` monomorphisation seam —
-        // default runs never touch any of this beyond a handful of
-        // `Option::None` branches per round.
-        let (obs_cfg, obs_meters) = match obs {
-            Some((cfg, meters)) => (Some(cfg), meters),
-            None => (None, Vec::new()),
-        };
-        let instrumented = sanitize || trace.is_some() || obs_cfg.is_some();
-        let tripped = Rc::new(Cell::new(false));
-        if instrumented {
-            // An empty meter vector yields `None` for every island.
-            let mut meters = obs_meters.into_iter();
-            for island in self.islands.iter_mut() {
-                let st = island.state_mut();
-                let island_obs = obs_cfg
-                    .as_ref()
-                    .map(|cfg| IslandObs::new(st.pic, cfg, meters.next()));
-                st.probe = Some(Box::new(IslandProbe::new(
-                    st.pic,
-                    Rc::clone(&tripped),
-                    sanitize,
-                    trace.as_ref(),
-                    island_obs,
-                )));
-            }
-        }
-        let mut coord_obs = obs_cfg.as_ref().map(CoordObs::new);
-        let mut san = sanitize.then(|| EngineSanitizer::new(Rc::clone(&tripped)));
-        let mut muts = self.mutation.map(MutationState::new);
-        let mut ctl = EngineCtl {
-            san: san.as_mut(),
-            muts: muts.as_mut(),
-            obs: coord_obs.as_mut(),
-        };
-
         // The island visit order: identity, or a deterministic shuffle to
         // prove order independence.
         let mut order: Vec<usize> = (0..self.islands.len()).collect();
@@ -1982,32 +1785,19 @@ impl ScatternetSim {
         let mode = EngineMode {
             widening: self.widening,
             batching: self.batching,
-            telemetry,
         };
         let mut islands = self.islands;
-        let counters = if instrumented {
-            run_phases::<true>(
-                &mut islands,
-                &order,
-                &self.sync_points,
-                checkpoint,
-                horizon,
-                probe,
-                mode,
-                &mut ctl,
-            )
-        } else {
-            run_phases::<false>(
-                &mut islands,
-                &order,
-                &self.sync_points,
-                checkpoint,
-                horizon,
-                probe,
-                mode,
-                &mut ctl,
-            )
-        };
+        let counters = run_phases(
+            &mut islands,
+            &order,
+            &self.sync_points,
+            checkpoint,
+            horizon,
+            probe,
+            mode,
+            &mut MutationState::new(self.mutation),
+            obs,
+        );
 
         let mut chains: Vec<ChainReport> = self
             .chain_hops
@@ -2021,16 +1811,11 @@ impl ScatternetSim {
             })
             .collect();
         let mut piconets = Vec::with_capacity(islands.len());
-        let mut probes: Vec<IslandProbe> =
-            Vec::with_capacity(if instrumented { piconets.capacity() } else { 0 });
         let mut events_processed = 0;
         for island in islands {
             let events = island.events_processed();
             events_processed += events;
-            let mut st = island.into_state();
-            if let Some(probe) = st.probe.take() {
-                probes.push(*probe);
-            }
+            let st = island.into_state();
             for (ci, local) in st.chain_stats.into_iter().enumerate() {
                 let report = &mut chains[ci];
                 report.relayed_packets += local.relayed;
@@ -2040,7 +1825,7 @@ impl ScatternetSim {
             }
             piconets.push(st.world.into_report(horizon, events));
         }
-        let report = ScatternetReport {
+        Ok(ScatternetReport {
             piconets,
             chains,
             events_processed,
@@ -2050,30 +1835,6 @@ impl ScatternetSim {
             widening_stretches: counters.widening_stretches,
             islands_skipped_idle: counters.islands_skipped_idle,
             relays_injected: counters.relays_injected,
-        };
-
-        let sanitizer = san.map(|mut s| {
-            s.finish(&probes);
-            s.into_report(&mut probes)
-        });
-        let run_trace = trace.is_some().then(|| RunTrace {
-            islands: probes.iter_mut().map(IslandProbe::take_trace).collect(),
-        });
-        let telemetry = telemetry.then(|| TelemetryReport::from_engine(&counters, &report));
-        let observed = coord_obs.map(|coord| {
-            let island_obs: Vec<IslandObs> = probes
-                .iter_mut()
-                .filter_map(IslandProbe::take_obs)
-                .collect();
-            crate::telemetry::assemble(coord, island_obs)
-        });
-        let halted = sanitize && tripped.get();
-        Ok(RunInnerOutput {
-            report: if halted { None } else { Some(report) },
-            sanitizer,
-            trace: run_trace,
-            telemetry,
-            observed,
         })
     }
 }

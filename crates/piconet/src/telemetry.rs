@@ -6,10 +6,10 @@
 //!   histograms ([`Histo32`]): phase width, widening stretches,
 //!   idle-skip counts, relay-pool and wheel-bucket occupancy, per-claim
 //!   event batches and the per-poller decision mix, surfaced as a
-//!   [`TelemetryReport`]. It is a *view* of the engine's own counter set
-//!   (`EngineCounters`), recorded once per phase and once per island
-//!   claim by the plain engine — [`run_with_telemetry`] costs about what
-//!   a plain [`run`] costs and touches no per-event hook. Like
+//!   [`TelemetryReport`]. The report records its own histograms as an
+//!   engine observer, once per phase and once per island claim, and
+//!   takes the counters from the run's report — [`run_with_telemetry`]
+//!   costs about what a plain [`run`] costs and has no per-event hook. Like
 //!   `events_processed`, the report is *excluded* from
 //!   cross-configuration byte-identity digests (it is about the engine,
 //!   not the simulated system).
@@ -28,26 +28,30 @@
 //!   is supplied by the harness (`btgs-obs`), which is where the
 //!   wall-clock reads live; this crate never touches an ambient clock.
 //!
-//! Tracing and metering sit behind the same const-generic `I` seam as
-//! the causality sanitizer, so every other run compiles their capture
-//! sites out; only [`run_observed`] enables them. Everything is
-//! pre-sized at run start: ring buffers at their configured capacity
-//! (overflow is *dropped and counted*, never grown), histograms as
-//! fixed arrays. The zero-allocation gate brackets an observed steady
-//! state to prove it.
+//! Tracing and metering are one more engine observer, `Tracer`, which
+//! also contains the telemetry observer, so an observed run's telemetry
+//! equals [`run_with_telemetry`]'s by construction. Plain runs
+//! instantiate the engine with `()`, so they compile every capture site
+//! out; only [`run_observed`] enables them. Everything is pre-sized at
+//! run start: ring buffers at their configured capacity (overflow is
+//! *dropped and counted*, never grown), histograms as fixed arrays. The
+//! zero-allocation gate brackets an observed steady state to prove it.
 //!
 //! [`run`]: crate::ScatternetSim::run
 //! [`run_with_telemetry`]: crate::ScatternetSim::run_with_telemetry
 //! [`run_observed`]: crate::ScatternetSim::run_observed
 
-use crate::sanitizer::TraceKind;
-use crate::scatternet::{nanos_of, EngineCounters};
+use crate::scatternet::{
+    event_descriptor, nanos_of, EngineObserver, IslandScheduler, PooledRelay, StagedRelay,
+};
+use crate::sim::Ev;
 use crate::ScatternetReport;
 use btgs_des::SimTime;
 
 /// Event-kind names, indexed by the tag byte handed to
-/// [`EventMeter::end`] and carried in fine-grained [`TraceRecord`]s
-/// (`arg0` of [`TraceRecordKind::Event`]).
+/// [`EventMeter::end`], carried in fine-grained [`TraceRecord`]s
+/// (`arg0` of [`TraceRecordKind::Event`]) and in the bisector's
+/// [`TraceEvent::kind`](crate::TraceEvent::kind).
 pub const EVENT_KIND_NAMES: &[&str] = <crate::sim::Ev as btgs_des::Tagged>::TAG_NAMES;
 
 /// A fixed 32-bucket log₂ histogram: bucket `i` counts samples whose
@@ -303,35 +307,23 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// The telemetry view of one run: the engine's counter set plus the
-    /// report's event count and poll mix. `trace_dropped` starts at zero;
-    /// an observed run fills it in from its rings.
-    pub(crate) fn from_engine(
-        counters: &EngineCounters,
-        report: &ScatternetReport,
-    ) -> TelemetryReport {
-        let mut telemetry = TelemetryReport {
-            events_processed: report.events_processed,
-            phases_run: counters.phases_run,
-            islands_claimed: counters.islands_claimed,
-            relays_staged: counters.relays_staged,
-            relays_injected: counters.relays_injected,
-            widening_stretches: counters.widening_stretches,
-            islands_skipped_idle: counters.islands_skipped_idle,
-            phase_width_ns: counters.phase_width_ns,
-            relay_pool: counters.relay_pool,
-            wheel_pending: counters.wheel_pending,
-            wheel_near: counters.wheel_near,
-            events_per_claim: counters.events_per_claim,
-            ..TelemetryReport::default()
-        };
+    /// Fills in what the histograms cannot see: the engine counters, the
+    /// event count and the poll mix of the run's report. `trace_dropped`
+    /// stays as it is; an observed run fills it in from its rings.
+    pub(crate) fn fill_from(&mut self, report: &ScatternetReport) {
+        self.events_processed = report.events_processed;
+        self.phases_run = report.phases_run;
+        self.islands_claimed = report.islands_claimed;
+        self.relays_staged = report.relays_staged;
+        self.relays_injected = report.relays_injected;
+        self.widening_stretches = report.widening_stretches;
+        self.islands_skipped_idle = report.islands_skipped_idle;
         for p in &report.piconets {
-            telemetry.gs_polls_successful += p.gs_polls.successful;
-            telemetry.gs_polls_unsuccessful += p.gs_polls.unsuccessful;
-            telemetry.be_polls_successful += p.be_polls.successful;
-            telemetry.be_polls_unsuccessful += p.be_polls.unsuccessful;
+            self.gs_polls_successful += p.gs_polls.successful;
+            self.gs_polls_unsuccessful += p.gs_polls.unsuccessful;
+            self.be_polls_successful += p.be_polls.successful;
+            self.be_polls_unsuccessful += p.be_polls.unsuccessful;
         }
-        telemetry
     }
 
     /// Folds another shard's telemetry into this one (grid
@@ -376,95 +368,147 @@ pub struct ObservedRun {
     pub meters: Vec<Box<dyn EventMeter>>,
 }
 
-/// Per-island trace and meter state, owned by the island's probe and
-/// driven from behind the `I` seam. Each island writes its own sink, so
-/// the visit order cannot interleave records.
-pub(crate) struct IslandObs {
-    sink: TraceSink,
-    fine: bool,
-    track: u16,
-    prev_b_ns: u64,
-    last_tag: u8,
-    meter: Option<Box<dyn EventMeter>>,
+/// The telemetry histograms record themselves: once per island claim
+/// and once per phase, never per event.
+impl EngineObserver for TelemetryReport {
+    fn on_claim(&mut self, _pic: u16, _b: SimTime, events: u64, sched: &IslandScheduler) {
+        let occ = sched.queue_occupancy();
+        self.wheel_pending.record(occ.live as u64);
+        self.wheel_near.record(occ.near as u64);
+        self.events_per_claim.record(events);
+    }
+
+    fn on_phase(
+        &mut self,
+        t: SimTime,
+        b: SimTime,
+        _active: u64,
+        _skipped: u64,
+        pool_len: usize,
+        _stretched: bool,
+    ) {
+        self.phase_width_ns.record(nanos_of(b) - nanos_of(t));
+        self.relay_pool.record(pool_len as u64);
+    }
 }
 
-impl IslandObs {
-    pub(crate) fn new(pic: u16, cfg: &ObsConfig, meter: Option<Box<dyn EventMeter>>) -> IslandObs {
-        IslandObs {
-            sink: TraceSink::new(cfg.ring_capacity),
+/// The observer of an observed run: one trace ring per island plus the
+/// coordinator's, the optional per-event meters, and the telemetry
+/// histograms — recorded by the same observer as
+/// [`run_with_telemetry`](crate::ScatternetSim::run_with_telemetry)'s, so
+/// the two telemetries agree by construction. Each island writes its own
+/// ring, so the visit order cannot interleave records; the coordinator
+/// ring is only written between rounds.
+pub(crate) struct Tracer {
+    telemetry: TelemetryReport,
+    coord: TraceSink,
+    /// Island rings, indexed by piconet (track = piconet + 1).
+    islands: Vec<TraceSink>,
+    /// End of each island's previous claim, in nanoseconds.
+    prev_b_ns: Vec<u64>,
+    fine: bool,
+    /// Per-island meters, indexed by piconet (empty for none).
+    meters: Vec<Box<dyn EventMeter>>,
+    /// Kind tag of the event being handled (events never nest).
+    tag: u8,
+}
+
+impl Tracer {
+    pub(crate) fn new(islands: usize, cfg: &ObsConfig, meters: Vec<Box<dyn EventMeter>>) -> Tracer {
+        Tracer {
+            telemetry: TelemetryReport::default(),
+            coord: TraceSink::new(cfg.ring_capacity),
+            islands: (0..islands)
+                .map(|_| TraceSink::new(cfg.ring_capacity))
+                .collect(),
+            prev_b_ns: vec![0; islands],
             fine: cfg.fine_events,
-            track: pic + 1,
-            prev_b_ns: 0,
-            last_tag: 0,
-            meter,
+            meters,
+            tag: 0,
         }
     }
 
-    pub(crate) fn on_event(&mut self, t: SimTime, kind: TraceKind, a: u64, _b: u64) {
-        self.last_tag = kind as u8;
+    /// Merges every ring into the final [`EngineTrace`] and hands the
+    /// meters back with the run's report and telemetry.
+    pub(crate) fn finish(self, report: ScatternetReport) -> ObservedRun {
+        let mut dropped = self.coord.dropped;
+        let mut records = self.coord.records;
+        for island in self.islands {
+            dropped += island.dropped;
+            records.extend_from_slice(&island.records);
+        }
+        // analyze: allow(unstable-sort): the key `(start_ns, track, seq)` is
+        // provably unique — `track` identifies the originating sink and `seq`
+        // is that sink's monotone per-record counter, so no two records
+        // compare equal.
+        records.sort_unstable_by_key(|r| (r.start_ns, r.track, r.seq));
+        let mut telemetry = self.telemetry;
+        telemetry.fill_from(&report);
+        telemetry.trace_dropped = dropped;
+        ObservedRun {
+            report,
+            telemetry,
+            trace: EngineTrace { records, dropped },
+            meters: self.meters,
+        }
+    }
+}
+
+impl EngineObserver for Tracer {
+    fn on_event(&mut self, pic: u16, t: SimTime, ev: &Ev) {
+        let (tag, a, _) = event_descriptor(ev);
+        self.tag = tag;
         if self.fine {
             let t_ns = nanos_of(t);
-            self.sink.push(
+            self.islands[pic as usize].push(
                 t_ns,
                 t_ns,
-                self.track,
+                pic + 1,
                 TraceRecordKind::Event,
-                kind as u8 as u64,
+                u64::from(tag),
                 a,
             );
         }
-        if let Some(m) = self.meter.as_mut() {
+        if let Some(m) = self.meters.get_mut(pic as usize) {
             m.begin();
         }
     }
 
-    pub(crate) fn after_event(&mut self) {
-        if let Some(m) = self.meter.as_mut() {
-            m.end(self.last_tag);
+    fn after_event(&mut self, pic: u16) {
+        if let Some(m) = self.meters.get_mut(pic as usize) {
+            m.end(self.tag);
         }
     }
 
-    pub(crate) fn on_staged(&mut self, target_pic: u16, _flow_idx: u32, at: SimTime, seq: u64) {
-        let at_ns = nanos_of(at);
-        self.sink.push(
+    fn on_staged(&mut self, pic: u16, relay: &StagedRelay) {
+        let at_ns = nanos_of(relay.at);
+        self.islands[pic as usize].push(
             at_ns,
             at_ns,
-            self.track,
+            pic + 1,
             TraceRecordKind::RelayStage,
-            u64::from(target_pic),
-            seq,
+            u64::from(relay.pic),
+            relay.pkt.seq,
         );
     }
 
-    pub(crate) fn on_island_ran(&mut self, b: SimTime, events: u64, live: u64) {
+    fn on_claim(&mut self, pic: u16, b: SimTime, events: u64, sched: &IslandScheduler) {
+        self.telemetry.on_claim(pic, b, events, sched);
+        let p = pic as usize;
         let b_ns = nanos_of(b);
-        self.sink.push(
-            self.prev_b_ns,
+        let live = sched.queue_occupancy().live as u64;
+        self.islands[p].push(
+            self.prev_b_ns[p],
             b_ns,
-            self.track,
+            pic + 1,
             TraceRecordKind::IslandRun,
             events,
             live,
         );
-        self.prev_b_ns = b_ns;
-    }
-}
-
-/// Coordinator-side trace state: phase spans and injections. Only ever
-/// touched by the round loop between rounds, so its record order is
-/// visit-order-invariant.
-pub(crate) struct CoordObs {
-    sink: TraceSink,
-}
-
-impl CoordObs {
-    pub(crate) fn new(cfg: &ObsConfig) -> CoordObs {
-        CoordObs {
-            sink: TraceSink::new(cfg.ring_capacity),
-        }
+        self.prev_b_ns[p] = b_ns;
     }
 
-    pub(crate) fn on_phase(
+    fn on_phase(
         &mut self,
         t: SimTime,
         b: SimTime,
@@ -473,9 +517,11 @@ impl CoordObs {
         pool_len: usize,
         stretched: bool,
     ) {
+        self.telemetry
+            .on_phase(t, b, active, skipped, pool_len, stretched);
         let t_ns = nanos_of(t);
         let b_ns = nanos_of(b);
-        self.sink.push(
+        self.coord.push(
             t_ns,
             b_ns,
             0,
@@ -484,51 +530,26 @@ impl CoordObs {
             pool_len as u64,
         );
         if stretched {
-            self.sink
+            self.coord
                 .push(b_ns, b_ns, 0, TraceRecordKind::WideningStretch, 0, 0);
         }
         if skipped > 0 {
-            self.sink
+            self.coord
                 .push(t_ns, t_ns, 0, TraceRecordKind::IdleSkip, skipped, 0);
         }
     }
 
-    pub(crate) fn on_injected(&mut self, t: SimTime, target: u16, seq: u64) {
+    fn on_injected(&mut self, t: SimTime, relay: &PooledRelay) {
         let t_ns = nanos_of(t);
-        self.sink.push(
+        self.coord.push(
             t_ns,
             t_ns,
             0,
             TraceRecordKind::RelayInject,
-            u64::from(target),
-            seq,
+            u64::from(relay.relay.pic),
+            relay.seq,
         );
     }
-}
-
-/// What [`assemble`] hands back: the merged trace and the caller's
-/// meters, in island order.
-pub(crate) type ObservedParts = (EngineTrace, Vec<Box<dyn EventMeter>>);
-
-/// Merges the coordinator's and every island's sinks into the final
-/// [`EngineTrace`] and hands the meters back.
-pub(crate) fn assemble(coord: CoordObs, islands: Vec<IslandObs>) -> ObservedParts {
-    let mut dropped = coord.sink.dropped;
-    let mut records = coord.sink.records;
-    let mut meters = Vec::new();
-    for island in islands {
-        dropped += island.sink.dropped;
-        records.extend_from_slice(&island.sink.records);
-        if let Some(m) = island.meter {
-            meters.push(m);
-        }
-    }
-    // analyze: allow(unstable-sort): the key `(start_ns, track, seq)` is
-    // provably unique — `track` identifies the originating sink and `seq`
-    // is that sink's monotone per-record counter, so no two records
-    // compare equal.
-    records.sort_unstable_by_key(|r| (r.start_ns, r.track, r.seq));
-    (EngineTrace { records, dropped }, meters)
 }
 
 #[cfg(test)]
@@ -573,18 +594,5 @@ mod tests {
         assert_eq!(s.records.len(), 2);
         assert_eq!(s.dropped, 3);
         assert_eq!(s.records[1].seq, 1);
-    }
-
-    #[test]
-    fn event_kind_names_match_trace_kinds() {
-        assert_eq!(EVENT_KIND_NAMES.len(), 5);
-        assert_eq!(EVENT_KIND_NAMES[TraceKind::Arrival as usize], "arrival");
-        assert_eq!(EVENT_KIND_NAMES[TraceKind::Wake as usize], "wake");
-        assert_eq!(
-            EVENT_KIND_NAMES[TraceKind::ExchangeDone as usize],
-            "exchange_done"
-        );
-        assert_eq!(EVENT_KIND_NAMES[TraceKind::ScoDone as usize], "sco_done");
-        assert_eq!(EVENT_KIND_NAMES[TraceKind::Relay as usize], "relay");
     }
 }

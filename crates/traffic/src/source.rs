@@ -9,7 +9,7 @@ use crate::packet::{AppPacket, FlowId};
 use btgs_des::{DetRng, SimDuration, SimTime};
 
 /// A generator of higher-layer packets for one flow.
-pub trait Source: Send {
+pub trait Source {
     /// Returns the next packet, or `None` if the source is exhausted.
     ///
     /// Arrival times must be non-decreasing across calls.
