@@ -74,7 +74,7 @@ fn clean_engine_has_zero_findings_across_corpus() {
         );
         assert!(
             run.sanitizer.events_checked > 0,
-            "{label}: sanitizer observed no events — the probe seam is dead"
+            "{label}: sanitizer observed no events — the observer seam is dead"
         );
         assert!(
             run.sanitizer.relays_tracked > 0,
